@@ -1,9 +1,10 @@
 """Command-line front door for invariants, products, witnesses and checks.
 
-Exit codes: 0 success (all checks passed), 1 check failures or an invalid
-witness, 2 usage errors, 3 solver capacity exceeded.  The default solver caps
-can be overridden with the EOPACK_MAX_ITEMS and EOPACK_MAX_VERTICES
-environment variables.
+Exit codes: 0 success (all checks passed), 1 check failures, check errors or
+an invalid witness, 2 usage errors (including a malformed EOPACK_MAX_*
+value), 3 solver capacity exceeded.  The default solver caps can be
+overridden with the EOPACK_MAX_ITEMS and EOPACK_MAX_VERTICES environment
+variables.
 """
 
 from __future__ import annotations
@@ -156,17 +157,17 @@ def _cmd_check(args) -> int:
         args.suite, budget=args.budget, seed=args.seed, max_n=args.max_n
     )
     for r in reports:
-        print(f"{r.id} {r.status} instances={r.instances_run} failures={len(r.failures)}")
+        line = f"{r.id} {r.status} instances={r.instances_run} failures={len(r.failures)}"
+        print(f"{line} ({r.error})" if r.error else line)
     print(
-        "summary: total={total} pass={pass} fail={fail} skipped={skipped}".format(
-            **summary
-        )
+        "summary: total={total} pass={pass} fail={fail} skipped={skipped} "
+        "error={error}".format(**summary)
     )
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(harness.suite_json(reports, summary), fh, indent=2)
             fh.write("\n")
-    return EXIT_OK if summary["fail"] == 0 else EXIT_FAILURES
+    return EXIT_OK if summary["fail"] == summary["error"] == 0 else EXIT_FAILURES
 
 
 def _table_rows(max_n: int) -> list:
@@ -299,11 +300,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        invariants.env_caps()
         return args.fn(args)
     except invariants.CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except GraphError as exc:
+    except (GraphError, invariants.CapSettingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -446,13 +446,24 @@ def canonical_form(g: Graph) -> int:
     Branch-and-bound over partial orderings: placing vertex v at position j
     appends j bits (adjacency of v to the already placed vertices, oldest
     first); branches whose prefix exceeds the best complete string are cut.
+    Twins (vertices whose neighborhoods agree apart from each other) are
+    interchangeable by an automorphism that fixes every other vertex, so at
+    each position only the first unplaced vertex of a twin class is tried.
     Intended for small graphs (n <= ~10).
     """
-    n = g.n
+    return _canonical_bits(g.n, g.adj)
+
+
+def _canonical_bits(n: int, adj: Sequence[int]) -> int:
     nbits = n * (n - 1) // 2
     if n <= 1:
         return 0
-    adj = g.adj
+    twin = list(range(n))
+    for v in range(n):
+        for u in range(v):
+            if twin[u] == u and adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                twin[v] = u
+                break
     best = (1 << nbits) - 1  # all-ones string is an upper bound for any graph
     placed = [0] * n
 
@@ -472,7 +483,12 @@ def canonical_form(g: Graph) -> int:
                 word = (word << 1) | ((row >> placed[i]) & 1)
             cands.append((word, v))
         cands.sort()
+        tried = 0
         for word, v in cands:
+            cls = 1 << twin[v]
+            if tried & cls:
+                continue
+            tried |= cls
             new_prefix = (prefix << depth) | word
             new_done = done + depth
             if new_prefix > (best >> (nbits - new_done)):
@@ -489,68 +505,33 @@ def canonical_graph(g: Graph) -> Graph:
     return _graph_from_bits(g.n, canonical_form(g))
 
 
-def _perm_bit_table(n: int, perm: Sequence[int]) -> list:
-    """For each pair position p, the position of the image pair under perm."""
-    nbits = n * (n - 1) // 2
-    table = [0] * nbits
-    p = 0
-    for j in range(1, n):
-        for i in range(j):
-            a, b = perm[i], perm[j]
-            if a > b:
-                a, b = b, a
-            table[p] = _pair_index(a, b)
-            p += 1
-    return table
-
-
-def _orbit_min_masks(n: int) -> Iterator[int]:
-    """Minimum packed bitstring of every isomorphism orbit, ascending.
-
-    Closes each orbit under two generators of the symmetric group; the least
-    element of an orbit equals the canonical form of its members.
-    """
-    nbits = n * (n - 1) // 2
-    if n == 1:
-        yield 0
-        return
-    gens = [_perm_bit_table(n, [1, 0] + list(range(2, n)))]
-    if n > 2:
-        gens.append(_perm_bit_table(n, list(range(1, n)) + [0]))
-
-    def apply(table, mask):
-        out = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            p = nbits - low.bit_length()
-            out |= 1 << (nbits - 1 - table[p])
-            rest ^= low
-        return out
-
-    seen = bytearray(1 << nbits)
-    for mask in range(1 << nbits):
-        if seen[mask]:
-            continue
-        yield mask
-        stack = [mask]
-        seen[mask] = 1
-        while stack:
-            cur = stack.pop()
-            for table in gens:
-                img = apply(table, cur)
-                if not seen[img]:
-                    seen[img] = 1
-                    stack.append(img)
-
-
 def enumerate_graphs(n: int, dedup: bool = False) -> Iterator[Graph]:
-    """All labeled graphs on n vertices, or one representative per class."""
+    """All labeled graphs on n vertices, or one representative per class.
+
+    The deduped stream builds each order from the one below: every graph on
+    n vertices is a graph on n - 1 vertices plus one vertex, so joining a
+    new vertex to every neighborhood of every smaller representative reaches
+    each class.  Representatives are the canonical forms (the orbit minima of
+    :func:`canonical_form`), yielded in ascending order.
+    """
     if dedup:
         if not 1 <= n <= 7:
             raise GraphError("dedup enumeration supports 1 <= n <= 7")
-        for mask in _orbit_min_masks(n):
-            yield _graph_from_bits(n, mask)
+        forms = [0]
+        for size in range(2, n + 1):
+            new = size - 1
+            grown = set()
+            for form in forms:
+                base = _graph_from_bits(new, form).adj
+                for nbrs in range(1 << new):
+                    adj = list(base)
+                    for v in bits(nbrs):
+                        adj[v] |= 1 << new
+                    adj.append(nbrs)
+                    grown.add(_canonical_bits(size, adj))
+            forms = sorted(grown)
+        for form in forms:
+            yield _graph_from_bits(n, form)
     else:
         if not 1 <= n <= 6:
             raise GraphError("labeled enumeration supports 1 <= n <= 6")
@@ -581,16 +562,61 @@ def _prufer_tree(seq: Sequence[int], n: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def enumerate_trees(n: int, dedup: bool = False) -> Iterator[Graph]:
-    """All labeled trees on n vertices, or one representative per class.
+def _rooted_tree_code(nbrs: Sequence, root: int) -> str:
+    """AHU code of a tree rooted at ``root``: "(" + sorted child codes + ")"."""
+    parent = [-1] * len(nbrs)
+    order = [root]
+    for v in order:
+        for u in nbrs[v]:
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    kids: list = [[] for _ in nbrs]
+    code = ""
+    for v in reversed(order):
+        code = "(" + "".join(sorted(kids[v])) + ")"
+        if v != root:
+            kids[parent[v]].append(code)
+    return code
 
-    The labeled stream decodes every length-(n-2) sequence over 0..n-1.  The
-    deduped stream grows representatives by leaf attachment instead (every
-    unlabeled tree arises from a smaller one by adding a leaf), which avoids
-    canonicalizing all n^(n-2) labeled trees.
+
+def _tree_code(nbrs: Sequence) -> str:
+    """Isomorphism-invariant code of a tree given as neighbor lists.
+
+    The center (or the two bicenters) is found by peeling leaves layer by
+    layer; the code is the least AHU code (Aho, Hopcroft & Ullman 1974) over
+    the trees rooted at the centers.  Two trees are isomorphic exactly when
+    their codes are equal.
     """
-    if not 2 <= n <= 9:
-        raise GraphError("tree enumeration supports 2 <= n <= 9")
+    deg = [len(a) for a in nbrs]
+    layer = [v for v, d in enumerate(deg) if d <= 1]
+    left = len(nbrs)
+    while left > 2:
+        left -= len(layer)
+        nxt = []
+        for v in layer:
+            for u in nbrs[v]:
+                deg[u] -= 1
+                if deg[u] == 1:
+                    nxt.append(u)
+        layer = nxt
+    return min(_rooted_tree_code(nbrs, c) for c in layer)
+
+
+def enumerate_trees(n: int, dedup: bool = False) -> Iterator[Graph]:
+    """All labeled trees on n vertices (2 <= n <= 9), or one per class (n <= 14).
+
+    The labeled stream decodes every length-(n-2) Pruefer sequence over
+    0..n-1.  The deduped stream grows representatives by leaf attachment
+    (every unlabeled tree arises from a smaller one by adding a leaf) and
+    keeps the first tree met with each :func:`_tree_code`.  Representatives
+    are yielded in ascending order of their codes.
+    """
+    if dedup:
+        if not 2 <= n <= 14:
+            raise GraphError("deduped tree enumeration supports 2 <= n <= 14")
+    elif not 2 <= n <= 9:
+        raise GraphError("labeled tree enumeration supports 2 <= n <= 9")
     if not dedup:
         if n == 2:
             yield path(2)
@@ -606,18 +632,20 @@ def enumerate_trees(n: int, dedup: bool = False) -> Iterator[Graph]:
                 return
             seq[k] += 1
     else:
-        reps = [path(2)]
+        reps = [[[1], [0]]]
         for size in range(3, n + 1):
+            leaf = size - 1
             grown = {}
             for t in reps:
-                for v in range(t.n):
-                    bigger = Graph.from_edges(size, list(t.edges) + [(v, size - 1)])
-                    key = canonical_form(bigger)
-                    if key not in grown:
-                        grown[key] = bigger
+                for v in range(leaf):
+                    bigger = [list(a) for a in t]
+                    bigger[v].append(leaf)
+                    bigger.append([v])
+                    grown.setdefault(_tree_code(bigger), bigger)
             reps = [grown[k] for k in sorted(grown)]
         for t in reps:
-            yield t
+            edges = [(u, v) for u, nbrs in enumerate(t) for v in nbrs if u < v]
+            yield Graph.from_edges(n, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,7 @@ class CheckReport:
     wall_ms: int
     status: str
     capacity_skips: int = field(default=0, compare=False)
+    error: Optional[str] = None
 
 
 def _jsonable(x):
@@ -918,6 +919,13 @@ def run_check(
     seed: int = 0,
     max_n: Optional[int] = None,
 ) -> CheckReport:
+    """Run one registered check.
+
+    The status is ``error`` when the runner raised anything but
+    :class:`CapacityError` (the report carries ``"<ExcType>: <message>"``),
+    else ``fail`` on any recorded failure, else ``skipped`` on a partial run
+    (budget or capacity hit, or no instances), else ``pass``.
+    """
     if check_id not in REGISTRY:
         raise KeyError(f"unknown check id {check_id!r}")
     check = REGISTRY[check_id]
@@ -926,14 +934,19 @@ def run_check(
         return CheckReport(check.id, check.citation, 0, [], 0, "skipped")
     budget_s = check.budget_s if budget is None else budget
     run = CheckRun(seed=seed, deadline=t0 + budget_s, max_n=max_n)
+    error = None
     try:
         check.runner(run)
     except CapacityError:
         run.skip_capacity()
+    except Exception as exc:  # one broken runner must not abort the suite
+        error = f"{type(exc).__name__}: {exc}"
     wall_ms = int((time.monotonic() - t0) * 1000)
-    # capacity-hit or budget-hit corpora never pass silently on the partial run
-    if run.failures:
+    if error is not None:
+        status = "error"
+    elif run.failures:
         status = "fail"
+    # capacity-hit or budget-hit corpora never pass silently on the partial run
     elif run.timed_out or run.capacity_skips or run.instances_run == 0:
         status = "skipped"
     else:
@@ -946,6 +959,7 @@ def run_check(
         wall_ms,
         status,
         capacity_skips=run.capacity_skips,
+        error=error,
     )
 
 
@@ -969,6 +983,7 @@ def run_suite(
         "pass": sum(r.status == "pass" for r in reports),
         "fail": sum(r.status == "fail" for r in reports),
         "skipped": sum(r.status == "skipped" for r in reports),
+        "error": sum(r.status == "error" for r in reports),
     }
     return reports, summary
 
@@ -981,6 +996,8 @@ def report_json(report: CheckReport, with_timing: bool = True) -> dict:
         "failures": report.failures,
         "wall_ms": report.wall_ms,
         "status": report.status,
+        "capacity_skips": report.capacity_skips,
+        "error": report.error,
     }
     if not with_timing:
         del out["wall_ms"]

@@ -21,16 +21,43 @@ DEFAULT_MAX_ITEMS = 250
 DEFAULT_MAX_VERTICES = 64
 
 
+class CapSettingError(ValueError):
+    """An EOPACK_MAX_* environment variable is not a nonnegative integer."""
+
+
+def _env_cap(var: str, default: int) -> int:
+    raw = os.environ.get(var)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise CapSettingError(f"{var} must be a nonnegative integer, got {raw!r}")
+    return value
+
+
 def _item_cap(override: "Optional[int]") -> int:
     if override is not None:
         return override
-    return int(os.environ.get("EOPACK_MAX_ITEMS", DEFAULT_MAX_ITEMS))
+    return _env_cap("EOPACK_MAX_ITEMS", DEFAULT_MAX_ITEMS)
 
 
 def _vertex_cap(override: "Optional[int]") -> int:
     if override is not None:
         return override
-    return int(os.environ.get("EOPACK_MAX_VERTICES", DEFAULT_MAX_VERTICES))
+    return _env_cap("EOPACK_MAX_VERTICES", DEFAULT_MAX_VERTICES)
+
+
+def env_caps() -> tuple:
+    """Solver caps in force, ``(max items, max vertices)``.
+
+    Read from EOPACK_MAX_ITEMS / EOPACK_MAX_VERTICES, else the defaults;
+    raises :class:`CapSettingError` naming a malformed variable.
+    """
+    return _item_cap(None), _vertex_cap(None)
+
 
 EDGE_KINDS = ("induced_matching", "eop")
 VERTEX_KINDS = ("open_packing", "k_packing", "dominating", "perfect_code")
@@ -98,16 +125,42 @@ def _im_conflict(g: Graph, e1, e2) -> bool:
 
 
 def build_conflict_graph(g: Graph, kind: str) -> ConflictGraph:
+    """Conflict graph of ``kind`` over the edges of g.
+
+    Rows are ORs of per-vertex edge-incidence bitsets; the pairwise
+    predicates ``_im_conflict`` / ``_eop_conflict`` stay the literal
+    definitions that :func:`verify_witness` and the tests use.  With
+    ``reach[v]`` the edges touching N[v], edge ab conflicts:
+
+    - for ``induced_matching``, with every other edge in reach[a] | reach[b];
+    - for ``eop``, with every edge at a neighbor y of an endpoint x (y not
+      x's partner) except xy itself.  Those are the edges of reach[a] |
+      reach[b] that miss a and b, plus az and bz for each common neighbor z.
+    """
     if kind not in EDGE_KINDS:
         raise ValueError(f"unknown conflict kind {kind!r}")
-    test = _im_conflict if kind == "induced_matching" else _eop_conflict
-    m = g.m
-    conf = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if test(g, g.edges[i], g.edges[j]):
-                conf[i] |= 1 << j
-                conf[j] |= 1 << i
+    adj = g.adj
+    inc = [0] * g.n
+    for i, (u, v) in enumerate(g.edges):
+        inc[u] |= 1 << i
+        inc[v] |= 1 << i
+    reach = []
+    for v in range(g.n):
+        row = 0
+        for u in bits(adj[v]):
+            row |= inc[u]
+        reach.append(row)
+    conf = []
+    if kind == "induced_matching":
+        for i, (a, b) in enumerate(g.edges):
+            conf.append((reach[a] | reach[b]) & ~(1 << i))
+    else:
+        for a, b in g.edges:
+            ends = inc[a] | inc[b]
+            row = (reach[a] | reach[b]) & ~ends
+            for z in bits(adj[a] & adj[b]):
+                row |= inc[z] & ends
+            conf.append(row)
     return ConflictGraph(g, kind, g.edges, tuple(conf))
 
 

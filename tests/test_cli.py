@@ -106,6 +106,7 @@ def test_check_subcommand_json(capsys, tmp_path):
     assert data["checks"][0]["id"] == "paths-formulas"
     assert set(data["checks"][0].keys()) == {
         "id", "citation", "instances_run", "failures", "wall_ms", "status",
+        "capacity_skips", "error",
     }
 
 
@@ -192,3 +193,31 @@ def test_witness_direct_im(capsys):
     code, out, _ = run_cli(capsys, "witness", "--name", "direct-im", "--g", p4, "--h", p4)
     assert code == 0
     assert "size: 2" in out and out.splitlines()[-1] == "VALID"
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+@pytest.mark.parametrize("var", ["EOPACK_MAX_ITEMS", "EOPACK_MAX_VERTICES"])
+def test_malformed_env_cap_is_usage_error(capsys, monkeypatch, var, value):
+    monkeypatch.setenv(var, value)
+    code, out, err = run_cli(
+        capsys, "compute", "--invariant", "rho-eo", "--g6", write_graph6(path(4))
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and var in err
+    assert len(err.splitlines()) == 1
+
+
+def test_check_error_exit_code(capsys, monkeypatch):
+    import dataclasses
+
+    from eopack.harness import REGISTRY
+
+    def broken(run):
+        raise ValueError("runner bug")
+
+    patched = dataclasses.replace(REGISTRY["spider-equality"], runner=broken)
+    monkeypatch.setitem(REGISTRY, "spider-equality", patched)
+    code, out, _ = run_cli(capsys, "check", "--suite", "spider-equality")
+    assert code == 1
+    assert "spider-equality error instances=0 failures=0 (ValueError: runner bug)" in out
+    assert "summary: total=1 pass=0 fail=0 skipped=0 error=1" in out

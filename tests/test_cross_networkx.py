@@ -11,6 +11,7 @@ nx = pytest.importorskip("networkx")
 
 from eopack.graph import (
     Graph,
+    _graph_from_bits,
     bipartition,
     canonical_form,
     distances,
@@ -20,6 +21,7 @@ from eopack.graph import (
     random_graph,
     write_graph6,
 )
+from eopack.invariants import build_conflict_graph
 
 
 def to_nx(g: Graph):
@@ -89,3 +91,37 @@ def test_unlabeled_graph_counts_match_networkx_atlas():
         by_order[h.number_of_nodes()] += 1
     for n in range(1, 6):
         assert sum(1 for _ in enumerate_graphs(n, dedup=True)) == by_order[n]
+
+
+def test_unlabeled_tree_enumeration_matches_networkx_n10():
+    ours = {canonical_form(t) for t in enumerate_trees(10, dedup=True)}
+    theirs = {canonical_form(from_nx(t)) for t in nx.nonisomorphic_trees(10)}
+    assert len(ours) == 106 and ours == theirs
+
+
+def test_unlabeled_graphs_n6_n7_match_networkx_atlas():
+    from networkx.generators.atlas import graph_atlas_g
+
+    atlas = {6: set(), 7: set()}
+    for h in graph_atlas_g()[1:]:
+        if h.number_of_nodes() in atlas:
+            atlas[h.number_of_nodes()].add(canonical_form(from_nx(h)))
+    for n, theirs in atlas.items():
+        ours = list(enumerate_graphs(n, dedup=True))
+        forms = [canonical_form(g) for g in ours]
+        assert len(forms) == len(theirs) == {6: 156, 7: 1044}[n]
+        assert set(forms) == theirs
+        # each yielded graph is its own canonical form, in ascending order
+        assert forms == sorted(forms)
+        assert ours == [_graph_from_bits(n, f) for f in forms]
+
+
+def test_induced_matching_conflicts_match_square_of_line_graph():
+    for g in corpus():
+        cg = build_conflict_graph(g, "induced_matching")
+        square = nx.power(nx.line_graph(to_nx(g)), 2)
+        for i, e in enumerate(g.edges):
+            want = 0
+            for f in square[e]:
+                want |= 1 << g.edge_index[tuple(sorted(f))]
+            assert cg.conflicts[i] == want, (g.edges, e)

@@ -3,6 +3,7 @@ import pytest
 from eopack.graph import (
     Graph,
     GraphError,
+    _tree_code,
     canonical_form,
     canonical_graph,
     complete,
@@ -119,3 +120,49 @@ def test_canonical_form_matches_brute_force_permutation_minimum():
     for seed in range(6):
         g = random_graph(5, "1/4", seed=600 + seed)
         assert canonical_form(g) == brute_min(g)
+
+
+def test_unlabeled_tree_counts_to_14():
+    # OEIS A000055
+    expected = {10: 106, 11: 235, 12: 551, 13: 1301, 14: 3159}
+    for n, want in expected.items():
+        trees = list(enumerate_trees(n, dedup=True))
+        assert len(trees) == want
+        codes = [_tree_code([t.neighbors(v) for v in range(n)]) for t in trees]
+        assert codes == sorted(set(codes))  # distinct classes, in code order
+        assert all(t.m == n - 1 and is_connected(t) for t in trees)
+
+
+def test_tree_enumeration_range_checks():
+    with pytest.raises(GraphError):
+        list(enumerate_trees(15, dedup=True))
+    with pytest.raises(GraphError):
+        list(enumerate_trees(10))
+    with pytest.raises(GraphError):
+        list(enumerate_trees(1, dedup=True))
+
+
+def test_canonical_form_with_twins_matches_brute_force():
+    # twin classes let canonical_form skip branches; check it on graphs full
+    # of them against the minimum over every relabeling
+    from itertools import permutations
+
+    from eopack.graph import _pack_bits, complete_bipartite, empty_graph, star
+
+    def brute_min(g):
+        return min(
+            _pack_bits(Graph.from_edges(g.n, [(p[u], p[v]) for u, v in g.edges]))
+            for p in permutations(range(g.n))
+        )
+
+    twin_rich = [
+        star(5),
+        empty_graph(5),
+        complete(6),
+        complete_bipartite(2, 4),
+        spider(2),
+        Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 5), (4, 5)]),
+        Graph.from_edges(6, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 5)]),
+    ]
+    for g in twin_rich:
+        assert canonical_form(g) == brute_min(g), g.edges

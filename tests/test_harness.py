@@ -85,6 +85,8 @@ def test_report_json_schema():
         "failures",
         "wall_ms",
         "status",
+        "capacity_skips",
+        "error",
     ]
     stable = report_json(r, with_timing=False)
     assert "wall_ms" not in stable
@@ -165,3 +167,34 @@ def test_checkrun_budget_bookkeeping():
     assert fresh.instances_run == 2
     assert len(fresh.failures) == 1
     assert fresh.failures[0]["inputs_graph6"] == ["y"]
+
+
+def test_runner_exception_is_recorded_as_error(monkeypatch):
+    import dataclasses
+
+    def broken(run):
+        run.record(["x"], 1, 1)
+        raise AssertionError("broken runner")
+
+    patched = dataclasses.replace(REGISTRY["lex-nu-equality"], runner=broken)
+    monkeypatch.setitem(REGISTRY, "lex-nu-equality", patched)
+    reports, summary = run_suite("lex-nu", max_n=2)
+    status = {r.id: r.status for r in reports}
+    # the rest of the suite still runs
+    assert status == {"lex-nu-equality": "error", "lex-nu-remark": "pass"}
+    assert summary["error"] == 1 and summary["pass"] == 1
+    d = report_json(reports[0], with_timing=False)
+    assert d["error"] == "AssertionError: broken runner"
+    assert d["instances_run"] == 1 and d["capacity_skips"] == 0
+    assert report_json(reports[1], with_timing=False)["error"] is None
+
+
+def test_capacity_skips_reported_without_timing(monkeypatch):
+    from eopack.invariants import clear_cache
+
+    clear_cache()
+    monkeypatch.setenv("EOPACK_MAX_ITEMS", "0")
+    d = report_json(run_check("lex-nu-equality", max_n=2), with_timing=False)
+    clear_cache()
+    assert d["status"] == "skipped"
+    assert d["capacity_skips"] == 1

@@ -10,11 +10,14 @@ from eopack.graph import (
     enumerate_graphs,
     hypercube,
     path,
+    random_graph,
     spider,
     star,
 )
 from eopack.invariants import (
     CapacityError,
+    _eop_conflict,
+    _im_conflict,
     alpha,
     beta,
     build_conflict_graph,
@@ -58,6 +61,32 @@ def test_conflict_star_eop_empty():
     for r in (2, 3, 5):
         cg = build_conflict_graph(star(r), "eop")
         assert all(c == 0 for c in cg.conflicts)
+
+
+def pairwise_conflicts(g, kind):
+    # the literal per-pair definitions, independent of the bitset builder
+    test = _im_conflict if kind == "induced_matching" else _eop_conflict
+    conf = [0] * g.m
+    for i, j in itertools.combinations(range(g.m), 2):
+        if test(g, g.edges[i], g.edges[j]):
+            conf[i] |= 1 << j
+            conf[j] |= 1 << i
+    return tuple(conf)
+
+
+def test_conflict_builder_matches_pairwise_definition():
+    corpus = [g for n in range(1, 7) for g in enumerate_graphs(n, dedup=True)]
+    corpus += [
+        random_graph(n, p, seed=7000 + n)
+        for n in range(2, 25)
+        for p in ("1/6", "1/3", "1/2", "5/6")
+    ]
+    corpus += [hypercube(d) for d in range(1, 8)]
+    for g in corpus:
+        for kind in ("induced_matching", "eop"):
+            cg = build_conflict_graph(g, kind)
+            assert cg.items == g.edges
+            assert cg.conflicts == pairwise_conflicts(g, kind), (g.edges, kind)
 
 
 # ---------------------------------------------------------------------------
