@@ -1,8 +1,9 @@
 """Command-line front door for invariants, products, witnesses and checks.
 
-Exit codes: 0 success (all checks passed), 1 check failures, check errors or
-an invalid witness, 2 usage errors (including a malformed EOPACK_MAX_*
-value), 3 solver capacity exceeded.  The default solver caps can be
+Exit codes: 0 success (all checks passed), 1 check failures, check errors,
+an invalid witness or an unverified table row, 2 usage errors (including a
+malformed EOPACK_MAX_* value, a negative --max-items and an unreadable or
+unwritable file), 3 solver capacity exceeded.  The default solver caps can be
 overridden with the EOPACK_MAX_ITEMS and EOPACK_MAX_VERTICES environment
 variables.
 """
@@ -10,6 +11,7 @@ variables.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -44,6 +46,8 @@ def _format_witness(g: Graph, res, edge_valued: bool) -> str:
 def _cmd_compute(args) -> int:
     if (args.g6 is None) == (args.file is None):
         raise GraphError("compute needs exactly one of --g6 or --file")
+    if args.max_items is not None and args.max_items < 0:
+        raise GraphError(f"--max-items must be a nonnegative integer, got {args.max_items}")
     if args.g6 is not None:
         graphs = [parse_graph6(args.g6)]
     else:
@@ -153,70 +157,34 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    reports, summary = harness.run_suite(
-        args.suite, budget=args.budget, seed=args.seed, max_n=args.max_n
-    )
-    for r in reports:
-        line = f"{r.id} {r.status} instances={r.instances_run} failures={len(r.failures)}"
-        print(f"{line} ({r.error})" if r.error else line)
-    print(
-        "summary: total={total} pass={pass} fail={fail} skipped={skipped} "
-        "error={error}".format(**summary)
-    )
-    if args.json:
-        with open(args.json, "w") as fh:
+    # the report file is opened first, so a bad path fails before the suite runs
+    with open(args.json, "w") if args.json else contextlib.nullcontext() as fh:
+        reports, summary = harness.run_suite(
+            args.suite, budget=args.budget, seed=args.seed, max_n=args.max_n
+        )
+        for r in reports:
+            line = f"{r.id} {r.status} instances={r.instances_run} failures={len(r.failures)}"
+            print(f"{line} ({r.error})" if r.error else line)
+        print(
+            "summary: total={total} pass={pass} fail={fail} skipped={skipped} "
+            "error={error}".format(**summary)
+        )
+        if fh is not None:
             json.dump(harness.suite_json(reports, summary), fh, indent=2)
             fh.write("\n")
     return EXIT_OK if summary["fail"] == summary["error"] == 0 else EXIT_FAILURES
 
 
-def _table_rows(max_n: int) -> list:
-    rows = []
-    for n in range(1, max_n + 1):
-        if n <= 6:
-            r2 = str(invariants.distance_packing(hypercube(n), 2).value)
-            r3 = str(invariants.distance_packing(hypercube(n), 3).value)
-        elif n == 7:
-            # certified by the verified perfect code and the prism lift
-            r2 = str(len(constructions.hamming_perfect_code(3)))
-            _, pack = constructions.prism_3packing_witness(hypercube(6))
-            r3 = str(len(pack))
-        else:
-            r2 = "?"
-            code = constructions.hamming_perfect_code(3)
-            _, pack = constructions.prism_3packing_witness(
-                hypercube(7), two_packing=code
-            )
-            r3 = str(len(pack))
-        if n <= 4:
-            eop = f"={invariants.rho_eo(hypercube(n)).value}"
-        else:
-            q = hypercube(n)
-            if n <= 6:
-                w = constructions.bipartite_eop_witness(q)
-            else:
-                prev_pack = (
-                    constructions.prism_3packing_witness(hypercube(6))[1]
-                    if n == 7
-                    else constructions.prism_3packing_witness(
-                        hypercube(7),
-                        two_packing=constructions.hamming_perfect_code(3),
-                    )[1]
-                )
-                w = constructions.bipartite_eop_witness(q, packing=prev_pack)
-            eop = f">={len(w)}"
-        rows.append((n, r2, r3, eop))
-    return rows
-
-
 def _cmd_table(args) -> int:
     if args.name != "hypercubes":
         raise GraphError(f"unknown table {args.name!r}")
-    max_n = min(args.max_n, 8)
+    rows = constructions.hypercube_table(args.max_n)
     print("n rho_2 rho_3 rho_eo")
-    for n, r2, r3, eop in _table_rows(max_n):
-        print(f"{n} {r2} {r3} {eop}")
-    return EXIT_OK
+    for row in rows:
+        r2 = "?" if row.rho_2 is None else row.rho_2
+        eop = f"{'=' if row.rho_eo_exact else '>='}{row.rho_eo}"
+        print(f"{row.n} {r2} {row.rho_3} {eop}")
+    return EXIT_OK if all(row.verified for row in rows) else EXIT_FAILURES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -305,7 +273,7 @@ def main(argv=None) -> int:
     except invariants.CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (GraphError, invariants.CapSettingError) as exc:
+    except (GraphError, invariants.CapSettingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -8,10 +8,10 @@ optima are taken from the deterministic solver, so outputs are reproducible.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .graph import Graph, GraphError, bipartition, bits, hypercube, path
-from .invariants import alpha, distance_packing, nu_i, rho_eo, rho_o
+from .invariants import alpha, distance_packing, nu_i, rho_eo, rho_o, verify_witness
 from .products import ProductGraph, cartesian, direct, lex, product, rooted_product
 
 
@@ -229,6 +229,59 @@ def hypercube_eop_witness(k: int) -> tuple:
     prism, pack3 = prism_3packing_witness(hypercube(n - 1), two_packing=code)
     witness = bipartite_eop_witness(prism.graph, packing=pack3)
     return prism.graph, witness
+
+
+class HypercubeRow(NamedTuple):
+    """One row of the hypercube packing table.
+
+    ``rho_2`` is None where the value is open; ``rho_eo`` is exact when
+    ``rho_eo_exact``, else a witness-certified lower bound; ``verified`` says
+    every witness the row rests on passed :func:`verify_witness`.
+    """
+
+    n: int
+    rho_2: Optional[int]
+    rho_3: int
+    rho_eo: int
+    rho_eo_exact: bool
+    verified: bool
+
+
+def hypercube_table(max_n: int) -> list:
+    """Rows of the hypercube packing table for Q_1 .. Q_min(max_n, 8).
+
+    Up to dimension 6 the packings are solved exactly, and rho_eo is solved
+    up to dimension 4, then witnessed by all edges at a maximum 3-packing.
+    Q_7 and Q_8 follow the code -> prism -> edge-packing chain: Q_7's rho_2
+    is the Hamming perfect code, and a 2-packing of Q_(n-1) (Q_6's exact one,
+    or that code) lifts through the prism Q_n = Q_(n-1) box K_2 to a maximum
+    3-packing, whose edges give the rho_eo bound.
+    """
+    rows = []
+    for n in range(1, min(max_n, 8) + 1):
+        q = hypercube(n)
+        checks = []
+        r2: Optional[int] = None
+        if n <= 6:
+            r2 = distance_packing(q, 2).value
+            pack = distance_packing(q, 3).witness
+        else:
+            code = hamming_perfect_code(3)
+            if n == 7:
+                checks.append(verify_witness(q, code, "perfect_code"))
+                r2 = len(code)
+            # Q_7 lifts Q_6's exact 2-packing and Q_8 lifts the code; the
+            # prism of Q_(n-1) is Q_n with the same vertex labels
+            _, pack = prism_3packing_witness(hypercube(n - 1), None if n == 7 else code)
+            checks.append(verify_witness(q, pack, "k_packing", k=3))
+        if n <= 4:
+            eop, exact = rho_eo(q).value, True
+        else:
+            w = bipartite_eop_witness(q, packing=pack)
+            checks.append(verify_witness(q, w, "eop"))
+            eop, exact = len(w), False
+        rows.append(HypercubeRow(n, r2, len(pack), eop, exact, all(checks)))
+    return rows
 
 
 def rooted_im_witness(g: Graph, h: Graph, root: int) -> tuple:

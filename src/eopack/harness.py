@@ -18,6 +18,7 @@ from .constructions import (
     bipartite_eop_witness,
     hamming_perfect_code,
     hypercube_eop_witness,
+    hypercube_table,
     prism_3packing_witness,
 )
 from .graph import (
@@ -512,48 +513,19 @@ _TABLE_EOP_LOWER = {5: 10, 6: 24, 7: 56, 8: 128}
 
 
 def _table1_hypercubes(run: CheckRun) -> None:
-    for n in range(1, run.limit(6) + 1):
+    for row in hypercube_table(run.limit(8)):
         if run.out_of_budget():
             return
-        q = hypercube(n)
+        n = row.n
+        if n in _TABLE_RHO2:
+            run.record(
+                [f"Q_{n} packings"], (_TABLE_RHO2[n], _TABLE_RHO3[n]), (row.rho_2, row.rho_3)
+            )
+        exact = n in _TABLE_EOP_EXACT
+        eop = _TABLE_EOP_EXACT[n] if exact else _TABLE_EOP_LOWER[n]
         run.record(
-            [f"Q_{n} packings"],
-            (_TABLE_RHO2[n], _TABLE_RHO3[n]),
-            (distance_packing(q, 2).value, distance_packing(q, 3).value),
+            [f"Q_{n} eop"], (eop, exact, True), (row.rho_eo, row.rho_eo_exact, row.verified)
         )
-    for n in range(1, run.limit(4) + 1):
-        if run.out_of_budget():
-            return
-        run.record([f"Q_{n} eop exact"], _TABLE_EOP_EXACT[n], rho_eo(hypercube(n)).value)
-    if run.out_of_budget() or run.limit(8) < 5:
-        return
-    for n in (5, 6):
-        q = hypercube(n)
-        w = bipartite_eop_witness(q)
-        run.record(
-            [f"Q_{n} eop witness"],
-            (_TABLE_EOP_LOWER[n], True),
-            (len(w), verify_witness(q, w, "eop")),
-        )
-        if run.out_of_budget():
-            return
-    # Q_7: lift the exact 2-packing of Q_6 to a 3-packing, then take its edges
-    prism, pack = prism_3packing_witness(hypercube(6))
-    q7 = prism.graph
-    w = bipartite_eop_witness(q7, packing=pack)
-    run.record(
-        ["Q_7 eop witness"],
-        (_TABLE_EOP_LOWER[7], True, True),
-        (len(w), verify_witness(q7, pack, "k_packing", k=3), verify_witness(q7, w, "eop")),
-    )
-    if run.out_of_budget():
-        return
-    q8, w8 = hypercube_eop_witness(3)
-    run.record(
-        ["Q_8 eop witness"],
-        (_TABLE_EOP_LOWER[8], True),
-        (len(w8), verify_witness(q8, w8, "eop")),
-    )
 
 
 def _roeo_q2k(run: CheckRun) -> None:

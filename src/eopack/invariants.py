@@ -201,33 +201,50 @@ def _branch_vertex(adj: Sequence[int], rem: int) -> int:
     return best_v
 
 
-def _solve_mis(nverts: int, adj: Sequence[int]):
-    """Deterministic exact MIS; returns (size, sorted witness, nodes expanded)."""
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * nverts + 100))
-    best_size = -1
-    best_set: tuple = ()
-    nodes = 0
-    chosen: list = []
+def _search(count: int, adj: Sequence[int], all_optima: bool = False):
+    """Deterministic exact MIS on an explicit stack; returns (size, witnesses, nodes).
 
-    def dfs(rem: int, size: int):
-        nonlocal best_size, best_set, nodes
+    Branches include-first on :func:`_branch_vertex` and prunes with
+    :func:`_clique_cover_bound`: when maximising a branch must beat the best
+    size, and the single witness is the first maximum set found.  With
+    ``all_optima`` ties are kept, and the witnesses are every maximum set in
+    depth-first order.  Each witness is sorted.
+    """
+    tie = 0 if all_optima else 1
+    best = -1
+    found: list = []
+    nodes = 0
+    # frames are (remaining candidates, size, chosen vertices), sets as bitmasks
+    stack = [((1 << count) - 1, 0, 0)]
+    while stack:
+        rem, size, chosen = stack.pop()
         nodes += 1
-        if rem == 0:
-            if size > best_size:
-                best_size = size
-                best_set = tuple(chosen)
-            return
-        if size + _clique_cover_bound(adj, rem) <= best_size:
-            return
+        if not rem:
+            if size > best:
+                best, found = size, [chosen]
+            elif all_optima and size == best:
+                found.append(chosen)
+            continue
+        if size + _clique_cover_bound(adj, rem) < best + tie:
+            continue
         v = _branch_vertex(adj, rem)
         bit = 1 << v
-        chosen.append(v)
-        dfs(rem & ~(adj[v] | bit), size + 1)
-        chosen.pop()
-        dfs(rem & ~bit, size)
+        stack.append((rem & ~bit, size, chosen))
+        stack.append((rem & ~(adj[v] | bit), size + 1, chosen | bit))
+    return best, [tuple(bits(c)) for c in found], nodes
 
-    dfs((1 << nverts) - 1, 0)
-    return best_size, tuple(sorted(best_set)), nodes
+
+def _check_cap(count: int, cap: int, unit: str) -> None:
+    if count > cap:
+        raise CapacityError(
+            f"{count} {unit} exceed the exact-solver cap of {cap}; "
+            "use a witness-only construction instead"
+        )
+
+
+def _solve(name: str, count: int, adj: Sequence[int]) -> InvariantResult:
+    size, (witness,), nodes = _search(count, adj)
+    return InvariantResult(name, size, witness, nodes)
 
 
 def max_independent_set(
@@ -235,18 +252,22 @@ def max_independent_set(
 ) -> InvariantResult:
     """Exact MIS of a conflict graph (over items) or a plain graph (over vertices)."""
     if isinstance(c, ConflictGraph):
-        count, adj = c.item_count, c.conflicts
-        cap = _item_cap(max_items)
+        count, adj, cap = c.item_count, c.conflicts, _item_cap(max_items)
     else:
-        count, adj = c.n, c.adj
-        cap = _vertex_cap(max_items)
-    if count > cap:
-        raise CapacityError(
-            f"{count} items exceed the exact-solver cap of {cap}; "
-            "use a witness-only construction instead"
-        )
-    size, witness, nodes = _solve_mis(count, adj)
-    return InvariantResult("mis", size, witness, nodes)
+        count, adj, cap = c.n, c.adj, _vertex_cap(max_items)
+    _check_cap(count, cap, "items")
+    return _solve("mis", count, adj)
+
+
+def _vertex_conflicts(g: Graph, pred) -> list:
+    """Rows of the graph on V(g) joining each pair u < v with ``pred(u, v)``."""
+    conf = [0] * g.n
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if pred(u, v):
+                conf[u] |= 1 << v
+                conf[v] |= 1 << u
+    return conf
 
 
 # value cache keyed by (invariant, order, edge list); results are immutable
@@ -273,40 +294,37 @@ def clear_cache() -> None:
 # named invariants
 # ---------------------------------------------------------------------------
 
+def _mis_invariant(name: str, g: Graph, instance, max_items: Optional[int]):
+    # max_independent_set on instance(), renamed and cached under ``name``
+    def solve():
+        res = max_independent_set(instance(), max_items)
+        return InvariantResult(name, res.value, res.witness, res.nodes)
+
+    return _cached(name, g, solve, max_items)
+
+
 def nu_i(g: Graph, max_items: Optional[int] = None) -> InvariantResult:
     """Induced matching number: max edges pairwise non-adjacent and unjoined."""
-
-    def solve():
-        res = max_independent_set(build_conflict_graph(g, "induced_matching"), max_items)
-        return InvariantResult("nu_i", res.value, res.witness, res.nodes)
-
-    return _cached("nu_i", g, solve, max_items)
+    return _mis_invariant(
+        "nu_i", g, lambda: build_conflict_graph(g, "induced_matching"), max_items
+    )
 
 
 def rho_eo(g: Graph, max_items: Optional[int] = None) -> InvariantResult:
     """Edge open packing number: max edges with no third edge joining two of them."""
-
-    def solve():
-        res = max_independent_set(build_conflict_graph(g, "eop"), max_items)
-        return InvariantResult("rho_eo", res.value, res.witness, res.nodes)
-
-    return _cached("rho_eo", g, solve, max_items)
+    return _mis_invariant("rho_eo", g, lambda: build_conflict_graph(g, "eop"), max_items)
 
 
 def alpha(g: Graph, max_items: Optional[int] = None) -> InvariantResult:
     """Independence number."""
-
-    def solve():
-        res = max_independent_set(g, max_items)
-        return InvariantResult("alpha", res.value, res.witness, res.nodes)
-
-    return _cached("alpha", g, solve, max_items)
+    return _mis_invariant("alpha", g, lambda: g, max_items)
 
 
 def beta(g: Graph, max_items: Optional[int] = None) -> InvariantResult:
     """Vertex cover number, n - alpha; witness is the complement of the alpha witness."""
     a = alpha(g, max_items)
-    cover = tuple(v for v in range(g.n) if v not in set(a.witness))
+    independent = set(a.witness)
+    cover = tuple(v for v in range(g.n) if v not in independent)
     return InvariantResult("beta", g.n - a.value, cover, a.nodes)
 
 
@@ -314,19 +332,9 @@ def rho_o(g: Graph, max_items: Optional[int] = None) -> InvariantResult:
     """Open packing number: max vertices with pairwise disjoint open neighborhoods."""
 
     def solve():
-        conf = [0] * g.n
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                if g.adj[u] & g.adj[v]:
-                    conf[u] |= 1 << v
-                    conf[v] |= 1 << u
-        cap = _vertex_cap(max_items)
-        if g.n > cap:
-            raise CapacityError(
-                f"{g.n} vertices exceed the exact-solver cap of {cap}"
-            )
-        size, witness, nodes = _solve_mis(g.n, conf)
-        return InvariantResult("rho_o", size, witness, nodes)
+        _check_cap(g.n, _vertex_cap(max_items), "vertices")
+        adj = g.adj
+        return _solve("rho_o", g.n, _vertex_conflicts(g, lambda u, v: adj[u] & adj[v]))
 
     return _cached("rho_o", g, solve, max_items)
 
@@ -337,20 +345,9 @@ def distance_packing(g: Graph, k: int, max_items: Optional[int] = None) -> Invar
         raise ValueError("distance packing supports k in {2, 3}")
 
     def solve():
+        _check_cap(g.n, _vertex_cap(max_items), "vertices")
         dist = distances(g)
-        conf = [0] * g.n
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                if dist[u][v] <= k:
-                    conf[u] |= 1 << v
-                    conf[v] |= 1 << u
-        cap = _vertex_cap(max_items)
-        if g.n > cap:
-            raise CapacityError(
-                f"{g.n} vertices exceed the exact-solver cap of {cap}"
-            )
-        size, witness, nodes = _solve_mis(g.n, conf)
-        return InvariantResult(f"rho_{k}", size, witness, nodes)
+        return _solve(f"rho_{k}", g.n, _vertex_conflicts(g, lambda u, v: dist[u][v] <= k))
 
     return _cached(f"rho_{k}", g, solve, max_items)
 
@@ -365,9 +362,7 @@ def gamma(g: Graph, max_items: Optional[int] = None) -> InvariantResult:
 
     def solve():
         n = g.n
-        cap = _vertex_cap(max_items)
-        if n > cap:
-            raise CapacityError(f"{n} vertices exceed the exact-solver cap of {cap}")
+        _check_cap(n, _vertex_cap(max_items), "vertices")
         closed = [g.adj[v] | (1 << v) for v in range(n)]
         full = (1 << n) - 1
         if n == 0:
@@ -421,9 +416,11 @@ def has_perfect_code(g: Graph) -> Optional[tuple]:
     """A 2-packing whose closed neighborhoods partition V, or None.
 
     Exact cover search: the lowest uncovered vertex must be covered by
-    exactly one code vertex from its closed neighborhood.
+    exactly one code vertex from its closed neighborhood.  Graphs above the
+    vertex cap raise :class:`CapacityError`.
     """
     n = g.n
+    _check_cap(n, _vertex_cap(None), "vertices")
     closed = [g.adj[v] | (1 << v) for v in range(n)]
     full = (1 << n) - 1
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 100))
@@ -505,30 +502,5 @@ def verify_witness(g: Graph, w, kind: str, k: Optional[int] = None) -> bool:
 
 def enumerate_optimal(c: ConflictGraph, max_items: Optional[int] = None) -> list:
     """All maximum independent sets of a conflict graph, as sorted witnesses."""
-    cap = _item_cap(max_items)
-    m = c.item_count
-    if m > cap:
-        raise CapacityError(f"{m} items exceed the exact-solver cap of {cap}")
-    adj = c.conflicts
-    target, _, _ = _solve_mis(m, adj)
-    out: list = []
-    chosen: list = []
-
-    def dfs(rem: int, size: int):
-        if size == target:
-            out.append(tuple(sorted(chosen)))
-            return
-        if rem == 0:
-            return
-        if size + _clique_cover_bound(adj, rem) < target:
-            return
-        v = _branch_vertex(adj, rem)
-        bit = 1 << v
-        chosen.append(v)
-        dfs(rem & ~(adj[v] | bit), size + 1)
-        chosen.pop()
-        dfs(rem & ~bit, size)
-
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * m + 100))
-    dfs((1 << m) - 1, 0)
-    return out
+    _check_cap(c.item_count, _item_cap(max_items), "items")
+    return _search(c.item_count, c.conflicts, all_optima=True)[1]

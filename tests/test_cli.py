@@ -221,3 +221,39 @@ def test_check_error_exit_code(capsys, monkeypatch):
     assert code == 1
     assert "spider-equality error instances=0 failures=0 (ValueError: runner bug)" in out
     assert "summary: total=1 pass=0 fail=0 skipped=0 error=1" in out
+
+
+def test_compute_missing_file_is_usage_error(capsys, tmp_path):
+    missing = tmp_path / "missing.g6"
+    code, out, err = run_cli(capsys, "compute", "--invariant", "alpha", "--file", str(missing))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_check_unwritable_json_fails_before_the_suite(capsys, tmp_path):
+    target = tmp_path / "no" / "such" / "dir" / "r.json"
+    code, out, err = run_cli(capsys, "check", "--suite", "paths", "--json", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_negative_max_items_is_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "compute", "--invariant", "rho-eo", "--g6", write_graph6(path(4)),
+        "--max-items", "-5",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: --max-items must be a nonnegative integer, got -5\n"
+
+
+def test_table_rows_are_verified(capsys, monkeypatch):
+    from eopack import constructions
+
+    code, out, _ = run_cli(capsys, "table", "--name", "hypercubes", "--max-n", "8")
+    assert code == 0
+    assert out.splitlines()[-2:] == ["7 16 8 >=56", "8 ? 16 >=128"]
+    # an unverified witness makes the table exit 1
+    monkeypatch.setattr(constructions, "verify_witness", lambda *a, **k: False)
+    code, out, _ = run_cli(capsys, "table", "--name", "hypercubes", "--max-n", "5")
+    assert code == 1
+    assert out.splitlines()[-1] == "5 4 2 >=10"

@@ -3,6 +3,7 @@
 Skipped when networkx is not installed; the package itself never imports it.
 """
 
+import itertools
 import math
 
 import pytest
@@ -13,6 +14,7 @@ from eopack.graph import (
     Graph,
     _graph_from_bits,
     bipartition,
+    bits,
     canonical_form,
     distances,
     enumerate_graphs,
@@ -21,7 +23,13 @@ from eopack.graph import (
     random_graph,
     write_graph6,
 )
-from eopack.invariants import build_conflict_graph
+from eopack.invariants import (
+    alpha,
+    build_conflict_graph,
+    distance_packing,
+    enumerate_optimal,
+    rho_o,
+)
 
 
 def to_nx(g: Graph):
@@ -125,3 +133,47 @@ def test_induced_matching_conflicts_match_square_of_line_graph():
             for f in square[e]:
                 want |= 1 << g.edge_index[tuple(sorted(f))]
             assert cg.conflicts[i] == want, (g.edges, e)
+
+
+def test_enumerate_optimal_matches_maximum_cliques_of_complement():
+    for g in corpus():
+        for kind in ("induced_matching", "eop"):
+            cg = build_conflict_graph(g, kind)
+            conflict = nx.Graph()
+            conflict.add_nodes_from(range(cg.item_count))
+            conflict.add_edges_from(
+                (i, j) for i in range(cg.item_count) for j in bits(cg.conflicts[i]) if i < j
+            )
+            cliques = list(nx.find_cliques(nx.complement(conflict))) or [[]]
+            top = max(len(c) for c in cliques)
+            theirs = sorted(tuple(sorted(c)) for c in cliques if len(c) == top)
+            ours = enumerate_optimal(cg)
+            assert len(set(ours)) == len(ours)
+            assert sorted(ours) == theirs, (g.edges, kind)
+
+
+def shares_a_neighbour(h):
+    out = nx.Graph()
+    out.add_nodes_from(h)
+    for w in h:
+        out.add_edges_from(itertools.combinations(h[w], 2))
+    return out
+
+
+def test_vertex_packings_match_max_weight_clique():
+    # alpha, rho_o, rho_2 and rho_3 are independence numbers of G, of the
+    # shares-a-neighbour graph and of the powers G^2 and G^3
+    for i in range(40):
+        g = random_graph(6 + i % 15, ["1/4", "1/2"][i % 2], seed=5000 + i)
+        h = to_nx(g)
+        cases = [
+            (alpha(g), h),
+            (rho_o(g), shares_a_neighbour(h)),
+            (distance_packing(g, 2), nx.power(h, 2)),
+            (distance_packing(g, 3), nx.power(h, 3)),
+        ]
+        for res, conflict in cases:
+            _, size = nx.max_weight_clique(nx.complement(conflict), weight=None)
+            assert res.value == size == len(res.witness), (g.edges, res.name)
+            pairs = itertools.combinations(res.witness, 2)
+            assert not any(conflict.has_edge(u, v) for u, v in pairs), (g.edges, res.name)

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -7,6 +8,7 @@ from eopack.graph import (
     complete,
     cycle,
     distances,
+    empty_graph,
     enumerate_graphs,
     hypercube,
     path,
@@ -358,3 +360,16 @@ def test_verify_witness_k_packing_requires_k():
 def test_enumerate_optimal_edgeless_base():
     sets = enumerate_optimal(build_conflict_graph(Graph(3, [0, 0, 0]), "eop"))
     assert sets == [()]
+
+
+def test_alpha_deep_search_leaves_recursion_limit():
+    limit = sys.getrecursionlimit()
+    assert alpha(empty_graph(1100), max_items=1100).value == 1100
+    assert sys.getrecursionlimit() == limit
+
+
+def test_has_perfect_code_vertex_cap(monkeypatch):
+    monkeypatch.delenv("EOPACK_MAX_VERTICES", raising=False)
+    with pytest.raises(CapacityError):
+        has_perfect_code(hypercube(7))
+    assert has_perfect_code(hypercube(3)) == (0, 7)
