@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -51,8 +52,12 @@ def _cmd_compute(args) -> int:
     if args.g6 is not None:
         graphs = [parse_graph6(args.g6)]
     else:
-        with open(args.file) as fh:
-            graphs = list(iter_graph6(fh.read()))
+        try:
+            with open(args.file) as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphError(f"{args.file} is not a graph6 text file: {exc}") from None
+        graphs = list(iter_graph6(text))
     fn = _INVARIANTS[args.invariant]
     for g in graphs:
         res = fn(g, max_items=args.max_items)
@@ -187,7 +192,10 @@ def _cmd_table(args) -> int:
     return EXIT_OK if all(row.verified for row in rows) else EXIT_FAILURES
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process, on first use: parse_args returns a fresh
+    # Namespace each call, and help and error text are formatted when printed
     parser = argparse.ArgumentParser(
         prog="eopack",
         description="Exact induced matching / edge open packing toolkit.",
@@ -265,8 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         invariants.env_caps()
         return args.fn(args)

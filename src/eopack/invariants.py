@@ -3,9 +3,10 @@
 Both edge invariants (induced matching number, edge open packing number)
 reduce to maximum independent set on a conflict graph over edge indices, so a
 single exact solver backs every invariant here.  The solver is deterministic:
-it branches on the unresolved vertex of maximum degree (ties to the lowest
-index), explores the include branch first, and prunes with a greedy
-clique-cover bound, so witnesses are reproducible.
+it starts from a min-degree greedy incumbent, branches on the unresolved
+vertex of maximum degree (ties to the lowest index), explores the include
+branch first, and prunes with a greedy clique-cover bound that stops as soon
+as it can no longer prune, so witnesses are reproducible.
 """
 
 from __future__ import annotations
@@ -168,24 +169,6 @@ def build_conflict_graph(g: Graph, kind: str) -> ConflictGraph:
 # branch-and-bound maximum independent set core
 # ---------------------------------------------------------------------------
 
-def _clique_cover_bound(adj: Sequence[int], rem: int) -> int:
-    """Number of cliques in a greedy partition of ``rem``; upper-bounds alpha."""
-    cliques = 0
-    left = rem
-    while left:
-        low = left & -left
-        v = low.bit_length() - 1
-        left ^= low
-        cand = adj[v] & left
-        while cand:
-            lu = cand & -cand
-            u = lu.bit_length() - 1
-            left ^= lu
-            cand = (cand ^ lu) & adj[u]
-        cliques += 1
-    return cliques
-
-
 def _branch_vertex(adj: Sequence[int], rem: int) -> int:
     best_v = -1
     best_d = -1
@@ -201,17 +184,46 @@ def _branch_vertex(adj: Sequence[int], rem: int) -> int:
     return best_v
 
 
+def _greedy_size(count: int, adj: Sequence[int]) -> int:
+    """Size of a min-degree greedy independent set (ties to the lowest index)."""
+    rem = (1 << count) - 1
+    size = 0
+    while rem:
+        best_v = -1
+        best_d = count
+        r = rem
+        while r:
+            low = r & -r
+            v = low.bit_length() - 1
+            r ^= low
+            d = (adj[v] & rem).bit_count()
+            if d < best_d:
+                best_d = d
+                best_v = v
+                if not d:
+                    break
+        rem &= ~(adj[best_v] | (1 << best_v))
+        size += 1
+    return size
+
+
 def _search(count: int, adj: Sequence[int], all_optima: bool = False):
     """Deterministic exact MIS on an explicit stack; returns (size, witnesses, nodes).
 
-    Branches include-first on :func:`_branch_vertex` and prunes with
-    :func:`_clique_cover_bound`: when maximising a branch must beat the best
-    size, and the single witness is the first maximum set found.  With
+    The incumbent starts at the size of a min-degree greedy independent set
+    (a pass not counted in ``nodes``).  A node is pruned when a greedy clique
+    cover of its candidates, an upper bound on their independence number, is
+    too small; the cover stops once it is large enough not to prune.  Other
+    nodes branch include-first on :func:`_branch_vertex`.  When maximising a
+    branch must beat the best size so far (or reach the greedy size), and
+    the single witness is the first maximum set in depth-first order.  With
     ``all_optima`` ties are kept, and the witnesses are every maximum set in
-    depth-first order.  Each witness is sorted.
+    depth-first order.  The branching depends only on the candidates and
+    every bound is valid, so the incumbent skips only subtrees that hold no
+    optimum.  Each witness is sorted.
     """
     tie = 0 if all_optima else 1
-    best = -1
+    best = _greedy_size(count, adj) - tie
     found: list = []
     nodes = 0
     # frames are (remaining candidates, size, chosen vertices), sets as bitmasks
@@ -225,7 +237,20 @@ def _search(count: int, adj: Sequence[int], all_optima: bool = False):
             elif all_optima and size == best:
                 found.append(chosen)
             continue
-        if size + _clique_cover_bound(adj, rem) < best + tie:
+        # prune when a clique cover of rem has fewer than ``need`` cliques
+        need = best + tie - size
+        cliques = 0
+        left = rem
+        while left and cliques < need:
+            low = left & -left
+            left ^= low
+            cand = adj[low.bit_length() - 1] & left
+            while cand:
+                lu = cand & -cand
+                left ^= lu
+                cand = (cand ^ lu) & adj[lu.bit_length() - 1]
+            cliques += 1
+        if cliques < need:
             continue
         v = _branch_vertex(adj, rem)
         bit = 1 << v

@@ -257,3 +257,42 @@ def test_table_rows_are_verified(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "table", "--name", "hypercubes", "--max-n", "5")
     assert code == 1
     assert out.splitlines()[-1] == "5 4 2 >=10"
+
+
+def test_compute_binary_file_is_usage_error(capsys, tmp_path):
+    import sys
+
+    with open(sys.executable, "rb") as fh:
+        head = fh.read(300)
+    binary = tmp_path / "binary.g6"
+    binary.write_bytes(head)
+    code, out, err = run_cli(capsys, "compute", "--invariant", "alpha", "--file", str(binary))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert str(binary) in err
+
+
+def test_successive_calls_share_no_parser_state(capsys):
+    g6 = write_graph6(path(5))
+    code, out, _ = run_cli(capsys, "compute", "--invariant", "nu-i", "--g6", g6, "--witness")
+    assert code == 0 and out.splitlines() == ["2", "witness: 0-1 3-4"]
+    code, out, _ = run_cli(capsys, "compute", "--invariant", "nu-i", "--g6", g6)
+    assert code == 0 and out.splitlines() == ["2"]
+
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--invariant", "bogus", "--g6", g6])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "compute", "--invariant", "alpha", "--g6", g6)
+    assert code == 0 and out.splitlines() == ["3"]
+
+    def help_text():
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    before = help_text()
+    assert before.startswith("usage: eopack")
+    run_cli(capsys, "compute", "--invariant", "rho-eo", "--g6", g6)
+    assert help_text() == before

@@ -11,6 +11,7 @@ from eopack.graph import (
     empty_graph,
     enumerate_graphs,
     hypercube,
+    parse_graph6,
     path,
     random_graph,
     spider,
@@ -19,7 +20,9 @@ from eopack.graph import (
 from eopack.invariants import (
     CapacityError,
     _eop_conflict,
+    _greedy_size,
     _im_conflict,
+    _search,
     alpha,
     beta,
     build_conflict_graph,
@@ -373,3 +376,46 @@ def test_has_perfect_code_vertex_cap(monkeypatch):
     with pytest.raises(CapacityError):
         has_perfect_code(hypercube(7))
     assert has_perfect_code(hypercube(3)) == (0, 7)
+
+
+# ---------------------------------------------------------------------------
+# the greedy incumbent and the early-exit bound
+# ---------------------------------------------------------------------------
+
+def test_search_incumbent_edge_cases():
+    # no items: the empty set is the one optimum, whatever the mode
+    assert _search(0, []) == (0, [()], 1)
+    assert _search(0, [], all_optima=True) == (0, [()], 1)
+    # edgeless: the greedy set is already everything
+    assert _greedy_size(6, [0] * 6) == 6
+    res = alpha(empty_graph(6))
+    assert (res.value, res.witness) == (6, tuple(range(6)))
+    assert enumerate_optimal(build_conflict_graph(star(4), "eop")) == [(0, 1, 2, 3)]
+
+
+@pytest.mark.parametrize(
+    "g6, greedy_below_optimum",
+    [("DkC", False), ("EBzg", True)],  # spider(2), and a 6-vertex graph
+)
+def test_enumerate_optimal_with_greedy_incumbent(g6, greedy_below_optimum):
+    nx = pytest.importorskip("networkx")
+    cg = build_conflict_graph(parse_graph6(g6), "eop")
+    ours = enumerate_optimal(cg)
+    assert (_greedy_size(cg.item_count, cg.conflicts) < len(ours[0])) == greedy_below_optimum
+
+    conflict = nx.Graph()
+    conflict.add_nodes_from(range(cg.item_count))
+    conflict.add_edges_from(
+        (i, j) for i in range(cg.item_count) for j in range(i) if cg.conflicts[i] >> j & 1
+    )
+    cliques = list(nx.find_cliques(nx.complement(conflict)))
+    top = max(len(c) for c in cliques)
+    assert sorted(ours) == sorted(tuple(sorted(c)) for c in cliques if len(c) == top)
+    # the single witness is the first optimum in depth-first order
+    assert max_independent_set(cg).witness == ours[0]
+
+
+def test_search_node_ceilings_on_natural_cubes():
+    # node counts are exact; these are the counts before the greedy incumbent
+    assert rho_eo(hypercube(5), max_items=1000).nodes <= 1889
+    assert distance_packing(hypercube(7), 2, max_items=1000).nodes <= 33439
