@@ -57,7 +57,10 @@ def _cmd_compute(args) -> int:
                 text = fh.read()
         except UnicodeDecodeError as exc:
             raise GraphError(f"{args.file} is not a graph6 text file: {exc}") from None
-        graphs = list(iter_graph6(text))
+        try:
+            graphs = list(iter_graph6(text))
+        except GraphError as exc:
+            raise GraphError(f"{args.file}: {exc}") from None
     fn = _INVARIANTS[args.invariant]
     for g in graphs:
         res = fn(g, max_items=args.max_items)

@@ -226,11 +226,19 @@ def write_graph6(g: Graph) -> str:
 
 
 def iter_graph6(text: str) -> Iterator[Graph]:
-    """Parse a newline-separated multi-graph file body."""
-    for line in text.splitlines():
+    """Parse a newline-separated multi-graph file body.
+
+    A malformed line raises :class:`GraphError` prefixed with its 1-based
+    line number.
+    """
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if line:
-            yield parse_graph6(line)
+            try:
+                g = parse_graph6(line)
+            except GraphError as exc:
+                raise GraphError(f"line {lineno}: {exc}") from None
+            yield g
 
 
 # ---------------------------------------------------------------------------
@@ -395,18 +403,7 @@ def distances(g: Graph) -> list:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    seen = 1 << 0
-    frontier = 1 << 0
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= g.adj[v]
-        nxt &= ~seen
-        seen |= nxt
-        frontier = nxt
-    return seen == (1 << g.n) - 1
+    return g.n <= 1 or math.inf not in _bfs_dist(g, 0)
 
 
 def bipartition(g: Graph) -> Optional[tuple]:

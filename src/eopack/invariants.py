@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .graph import Graph, bits, distances
+from .graph import Graph, _bfs_dist, bits, distances
 
 DEFAULT_MAX_ITEMS = 250
 DEFAULT_MAX_VERTICES = 64
@@ -501,8 +501,6 @@ def verify_witness(g: Graph, w, kind: str, k: Optional[int] = None) -> bool:
     if kind == "k_packing":
         if k is None:
             raise ValueError("k_packing needs k")
-        from .graph import _bfs_dist
-
         others = set(w)
         for v in w:
             dist = _bfs_dist(g, v)

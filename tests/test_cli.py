@@ -296,3 +296,14 @@ def test_successive_calls_share_no_parser_state(capsys):
     assert before.startswith("usage: eopack")
     run_cli(capsys, "compute", "--invariant", "rho-eo", "--g6", g6)
     assert help_text() == before
+
+
+def test_compute_file_error_names_file_and_line(capsys, tmp_path):
+    bad = tmp_path / "bad.g6"
+    bad.write_text("Bw\n!!\n")
+    code, out, err = run_cli(capsys, "compute", "--invariant", "alpha", "--file", str(bad))
+    assert code == 2 and out == ""
+    assert err == f"error: {bad}: line 2: out-of-range character at byte 0\n"
+    # a --g6 string has no file or line to name
+    code, _, err = run_cli(capsys, "compute", "--invariant", "alpha", "--g6", "!!")
+    assert code == 2 and err == "error: out-of-range character at byte 0\n"

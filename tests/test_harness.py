@@ -198,3 +198,64 @@ def test_capacity_skips_reported_without_timing(monkeypatch):
     clear_cache()
     assert d["status"] == "skipped"
     assert d["capacity_skips"] == 1
+
+
+# instances_run per check for run_suite() at full size and at max_n=3; every
+# check passes with no capacity skip, except q9-bound, which is out of scope
+PINNED_INSTANCES = {
+    "paths-formulas": (20, 3),
+    "spider-equality": (4, 4),
+    "family-f-value-uniqueness": (50, 50),
+    "trees-iff-family-f": (95, 3),
+    "subdivided-star-lemma": (372, 6),
+    "lex-nu-equality": (324, 49),
+    "lex-eop-bounds": (324, 49),
+    "lex-eop-sharpness": (12, 12),
+    "lex-nu-remark": (3, 3),
+    "direct-nu-bound": (174, 31),
+    "direct-eop-bound": (175, 32),
+    "direct-eop-counterexample": (2, 2),
+    "direct-nu-remark": (1, 1),
+    "spanning-incomparability": (3, 3),
+    "lex-min-box": (324, 49),
+    "box-eop-bounds": (667, 106),
+    "nu-box-analogues": (324, 49),
+    "lex-strong-kn": (25, 14),
+    "hypercube-nu": (4, 2),
+    "perfect-code-regular": (14, 9),
+    "hamming-codes": (2, 2),
+    "bipartite-eop-lemma": (26, 6),
+    "prism-3packing": (52, 7),
+    "table1-hypercubes": (14, 6),
+    "roeo-q2k": (3, 3),
+    "q9-bound": (0, 0),
+    "rooted-three-values": (1134, 133),
+    "corona-formula": (324, 49),
+    "rooted-eop-equ2": (1107, 128),
+}
+
+
+def _outcomes(**kwargs):
+    reports, _ = run_suite(**kwargs)
+    return {r.id: (r.status, r.instances_run, r.capacity_skips) for r in reports}
+
+
+@pytest.mark.parametrize(
+    "column, kwargs", [(0, {}), (1, {"max_n": 3})], ids=["full", "max_n=3"]
+)
+def test_suite_outcomes_are_pinned(column, kwargs):
+    want = {
+        cid: ("skipped" if cid == "q9-bound" else "pass", counts[column], 0)
+        for cid, counts in PINNED_INSTANCES.items()
+    }
+    assert _outcomes(**kwargs) == want
+
+
+def test_zero_budget_ends_each_runner_at_its_first_gate():
+    want = {cid: ("skipped", 0, 0) for cid in ALL_CHECK_IDS}
+    # direct-nu-remark has no budget gate; hamming-codes records k=2 before its
+    # first one
+    want["direct-nu-remark"] = ("pass", 1, 0)
+    want["hamming-codes"] = ("skipped", 1, 0)
+    # spanning-incomparability's trailing K_5 vs C_5 record must not run either
+    assert _outcomes(budget=0) == want
