@@ -8,6 +8,7 @@ can be shared freely between solvers and enumerated corpora can be cached.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -496,6 +497,200 @@ def _canonical_bits(n: int, adj: Sequence[int]) -> int:
 
     extend(0, 0, 0, 0)
     return best
+
+
+# ---------------------------------------------------------------------------
+# automorphisms by individualization and refinement
+# ---------------------------------------------------------------------------
+
+# leaves tried per target vertex before the target is skipped, and the cap
+# on individualizations times vertices (relabelled Q_8 uses about 11,500)
+_AUT_LEAF_LIMIT = 32
+_AUT_WORK_LIMIT = 1 << 17
+
+
+def is_aut(g: Graph, p: Sequence[int]) -> bool:
+    """Whether the vertex permutation ``p`` (``v -> p[v]``) maps every edge to an edge."""
+    adj = g.adj
+    return all((adj[p[u]] >> p[v]) & 1 for u, v in g.edges)
+
+
+def orbit_masks(count: int, perms) -> list:
+    """Orbits of the group that permutations of 0..count-1 generate, as masks by least element."""
+    root = list(range(count))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for p in perms:
+        for i, j in enumerate(p):
+            a, b = find(i), find(j)
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    orbits: dict = {}
+    for i in range(count):
+        r = find(i)
+        orbits[r] = orbits.get(r, 0) | (1 << i)
+    return list(orbits.values())
+
+
+def _refine(adj: Sequence[int], cells: list, cell_of: list, queue: list) -> None:
+    """Refine an ordered partition in place to an equitable one.
+
+    ``cells[s]`` is the vertex mask of the cell starting at position s (0 at
+    other positions) and ``cell_of[v]`` the start of v's cell.  Each splitter
+    taken from ``queue`` (cell starts, first in first out) splits every cell
+    by the number of neighbours its vertices have in the splitter, fragments
+    in ascending order of that count.  A split cell already queued queues
+    all its new fragments; otherwise all but its first largest fragment
+    (Hopcroft's rule).  Nothing depends on vertex labels, so relabelling the
+    graph relabels the result.
+    """
+    queued = set(queue)
+    queue = deque(queue)
+    while queue:
+        s = queue.popleft()
+        queued.discard(s)
+        w = cells[s]
+        nbr = 0
+        for u in bits(w):
+            nbr |= adj[u]
+        split: dict = {}
+        for v in bits(nbr):
+            st = cell_of[v]
+            x = cells[st]
+            if x & (x - 1):
+                by_count = split.setdefault(st, {})
+                c = (adj[v] & w).bit_count()
+                by_count[c] = by_count.get(c, 0) | (1 << v)
+        for st in sorted(split):
+            by_count = split[st]
+            rest = cells[st] & ~nbr
+            if rest:
+                by_count[0] = rest
+            if len(by_count) == 1:
+                continue
+            parts = [by_count[c] for c in sorted(by_count)]
+            sizes = [part.bit_count() for part in parts]
+            keep = None if st in queued else sizes.index(max(sizes))
+            pos = st
+            for i, part in enumerate(parts):
+                cells[pos] = part
+                if pos != st:
+                    for v in bits(part):
+                        cell_of[v] = pos
+                if i != keep and pos not in queued:
+                    queued.add(pos)
+                    queue.append(pos)
+                pos += sizes[i]
+
+
+def _individualize(adj, cells: list, cell_of: list, st: int, v: int) -> int:
+    """Split v off the front of the cell at ``st``, refine, and return the next target.
+
+    The target is the start of the first non-singleton cell, or -1 when the
+    partition is discrete; cells before ``st`` are singletons already.
+    """
+    rest = cells[st] ^ (1 << v)
+    cells[st] = 1 << v
+    cells[st + 1] = rest
+    for u in bits(rest):
+        cell_of[u] = st + 1
+    _refine(adj, cells, cell_of, [st])
+    return _first_target(cells, st + 1)
+
+
+def _first_target(cells: list, start: int) -> int:
+    for s in range(start, len(cells)):
+        x = cells[s]
+        if x & (x - 1):
+            return s
+    return -1
+
+
+def automorphism_generators(g: Graph) -> list:
+    """Automorphisms of g, as tuples ``p`` with ``v -> p[v]``, generating a subgroup of Aut(g).
+
+    Individualization and refinement (McKay & Piperno, *Practical graph
+    isomorphism II*, 2014).  The first path refines the unit partition and
+    individualizes the lowest vertex of the first non-singleton cell until
+    the partition is discrete.  Then, from the deepest level up, for each
+    cell-mate w of that level's path vertex v not yet in v's orbit, a
+    depth-first search below "individualize w" looks for a leaf whose map
+    from the first leaf is an automorphism; branches whose cell sizes differ
+    from the first path's at the same level are pruned.  Every generator
+    found at a level fixes the path vertices above it, so without limits the
+    generators generate Aut(g).  Two limits only shrink the subgroup: a
+    target not found within ``_AUT_LEAF_LIMIT`` leaves is skipped, and the
+    search stops, keeping what it found, once its individualizations times
+    the order exceed ``_AUT_WORK_LIMIT``.  Every returned map passes
+    :func:`is_aut`, so its orbits are orbits of a real subgroup.
+    """
+    n, adj = g.n, g.adj
+    if n < 2:
+        return []
+    steps = _AUT_WORK_LIMIT // n
+    cells = [0] * n
+    cells[0] = (1 << n) - 1
+    cell_of = [0] * n
+    _refine(adj, cells, cell_of, [0])
+    shapes = [[x.bit_count() for x in cells]]
+    levels = []  # (cells, cell_of, target start) before each individualization
+    st = _first_target(cells, 0)
+    while st >= 0:
+        steps -= 1
+        if steps < 0:
+            return []
+        levels.append((cells[:], cell_of[:], st))
+        x = cells[st]
+        st = _individualize(adj, cells, cell_of, st, (x & -x).bit_length() - 1)
+        shapes.append([x.bit_count() for x in cells])
+    first_leaf = [x.bit_length() - 1 for x in cells]
+
+    def leaf_automorphism(depth: int, w: int):
+        # depth-first below "individualize w at depth" for an automorphic leaf
+        nonlocal steps
+        stack = [levels[depth] + (w, depth)]
+        leaves = 0
+        while stack and steps > 0 and leaves < _AUT_LEAF_LIMIT:
+            cells, cell_of, st, v, d = stack.pop()
+            cells, cell_of = cells[:], cell_of[:]
+            steps -= 1
+            nxt = _individualize(adj, cells, cell_of, st, v)
+            if [x.bit_count() for x in cells] != shapes[d + 1]:
+                continue
+            if nxt >= 0:
+                for u in reversed(list(bits(cells[nxt]))):
+                    stack.append((cells, cell_of, nxt, u, d + 1))
+                continue
+            p = [0] * n
+            for u, x in zip(first_leaf, cells):
+                p[u] = x.bit_length() - 1
+            if is_aut(g, p):
+                return tuple(p)
+            leaves += 1
+        return None
+
+    orbit = [1 << u for u in range(n)]  # orbit mask of each vertex under gens
+    gens = []
+    for depth in range(len(levels) - 1, -1, -1):
+        cells, _, st = levels[depth]
+        v = (cells[st] & -cells[st]).bit_length() - 1
+        for w in bits(cells[st] ^ (1 << v)):
+            if steps <= 0:
+                return gens
+            if (orbit[v] >> w) & 1:
+                continue
+            p = leaf_automorphism(depth, w)
+            if p is not None:
+                gens.append(p)
+                for o in orbit_masks(n, gens):
+                    for u in bits(o):
+                        orbit[u] = o
+    return gens
 
 
 def canonical_graph(g: Graph) -> Graph:

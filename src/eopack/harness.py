@@ -439,6 +439,7 @@ def _direct_eop_counterexample(run: CheckRun) -> None:
     60,
 )
 def _direct_nu_remark(run: CheckRun) -> None:
+    run.check_budget()
     p = product("direct", complete(4), complete(4)).graph
     run.record(["K_4 x K_4"], 2, nu_i(p).value)
 
@@ -592,6 +593,7 @@ def _perfect_code_regular(run: CheckRun) -> None:
     60,
 )
 def _hamming_codes(run: CheckRun) -> None:
+    run.check_budget()
     code2 = hamming_perfect_code(2)
     q3 = hypercube(3)
     run.record(

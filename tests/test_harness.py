@@ -253,9 +253,5 @@ def test_suite_outcomes_are_pinned(column, kwargs):
 
 def test_zero_budget_ends_each_runner_at_its_first_gate():
     want = {cid: ("skipped", 0, 0) for cid in ALL_CHECK_IDS}
-    # direct-nu-remark has no budget gate; hamming-codes records k=2 before its
-    # first one
-    want["direct-nu-remark"] = ("pass", 1, 0)
-    want["hamming-codes"] = ("skipped", 1, 0)
     # spanning-incomparability's trailing K_5 vs C_5 record must not run either
     assert _outcomes(budget=0) == want
