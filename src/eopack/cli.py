@@ -2,10 +2,10 @@
 
 Exit codes: 0 success (all checks passed), 1 check failures, check errors,
 an invalid witness or an unverified table row, 2 usage errors (including a
-malformed EOPACK_MAX_* value, a negative --max-items and an unreadable or
-unwritable file), 3 solver capacity exceeded.  The default solver caps can be
-overridden with the EOPACK_MAX_ITEMS and EOPACK_MAX_VERTICES environment
-variables.
+malformed EOPACK_MAX_* value, a negative --max-items, --max-n or --budget
+and an unreadable or unwritable file), 3 solver capacity exceeded.  The
+default solver caps can be overridden with the EOPACK_MAX_ITEMS and
+EOPACK_MAX_VERTICES environment variables.
 """
 
 from __future__ import annotations
@@ -44,11 +44,16 @@ def _format_witness(g: Graph, res, edge_valued: bool) -> str:
     return " ".join(str(v) for v in res.witness)
 
 
+def _require_nonnegative(flag: str, value) -> None:
+    if value is not None and value < 0:
+        kind = "number" if isinstance(value, float) else "integer"
+        raise GraphError(f"{flag} must be a nonnegative {kind}, got {value}")
+
+
 def _cmd_compute(args) -> int:
     if (args.g6 is None) == (args.file is None):
         raise GraphError("compute needs exactly one of --g6 or --file")
-    if args.max_items is not None and args.max_items < 0:
-        raise GraphError(f"--max-items must be a nonnegative integer, got {args.max_items}")
+    _require_nonnegative("--max-items", args.max_items)
     if args.g6 is not None:
         graphs = [parse_graph6(args.g6)]
     else:
@@ -165,6 +170,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    _require_nonnegative("--max-n", args.max_n)
+    _require_nonnegative("--budget", args.budget)
     # the report file is opened first, so a bad path fails before the suite runs
     with open(args.json, "w") if args.json else contextlib.nullcontext() as fh:
         reports, summary = harness.run_suite(
@@ -186,6 +193,7 @@ def _cmd_check(args) -> int:
 def _cmd_table(args) -> int:
     if args.name != "hypercubes":
         raise GraphError(f"unknown table {args.name!r}")
+    _require_nonnegative("--max-n", args.max_n)
     rows = constructions.hypercube_table(args.max_n)
     print("n rho_2 rho_3 rho_eo")
     for row in rows:

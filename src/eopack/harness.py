@@ -571,13 +571,13 @@ def _perfect_code_regular(run: CheckRun) -> None:
         if code is None:
             continue
         r = degs.pop()
-        assert g.n % (r + 1) == 0
         want = g.n // (r + 1)
         run.record(
             [g],
-            (True, want, want),
+            (True, 0, want, want),
             (
                 verify_witness(g, code, "perfect_code"),
+                g.n % (r + 1),
                 gamma(g).value,
                 distance_packing(g, 2).value,
             ),

@@ -73,7 +73,6 @@ def env_caps() -> tuple:
 
 
 EDGE_KINDS = ("induced_matching", "eop")
-VERTEX_KINDS = ("open_packing", "k_packing", "dominating", "perfect_code")
 
 
 class CapacityError(RuntimeError):

@@ -7,12 +7,16 @@ spider center and every spider keeps at least two leaves of tree-degree 1.
 Together with P_1 and P_2 these are exactly the trees whose induced matching
 number equals their edge open packing number, which is what the harness
 checks against the exact solvers.
+
+One verifier, :func:`verify_spider_partition`, decides membership: the
+recognizer returns a certificate only once it verifies, and the generator
+raises the verifier's first fault for an invalid wiring.
 """
 
 from __future__ import annotations
 
 import sys
-from collections import defaultdict
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -48,41 +52,58 @@ class SpiderPartition:
         )
 
 
-def verify_spider_partition(t: Graph, part: SpiderPartition) -> bool:
-    """Validate a certificate against the family conditions, from scratch."""
+def _spider_edges(spiders) -> set:
+    """Center-support and support-leaf edges of ``spiders``, as sorted pairs."""
+    out = set()
+    for center, legs in spiders:
+        for s, l in legs:
+            out.add((min(center, s), max(center, s)))
+            out.add((min(s, l), max(s, l)))
+    return out
+
+
+def _partition_fault(t: Graph, part: SpiderPartition) -> str:
+    """The first family condition ``part`` breaks on ``t``, or "" if none.
+
+    The one place the family conditions are written.  Once ``t`` is a tree,
+    each spider spans exactly its own 2k edges and there are exactly
+    (spiders - 1) extra edges, so neither count needs a check of its own.
+    """
+    if not is_tree(t):
+        return "graph is not a tree"
     if part.trivial:
-        return is_tree(t) and t.n <= 2
+        return "" if t.n <= 2 else "trivial certificate for more than two vertices"
     seen: set = set()
-    spider_edges = set()
     centers = set()
-    for center, legs in part.spiders:
+    for i, (center, legs) in enumerate(part.spiders):
         if len(legs) < 2:
-            return False
+            return f"spider {i} has fewer than 2 legs"
         centers.add(center)
         group = {center}
         for s, l in legs:
             if not (t.has_edge(center, s) and t.has_edge(s, l)):
-                return False
+                return f"spider {i} leg ({s},{l}) is not a path from its center"
             group.update((s, l))
-            spider_edges.add((min(center, s), max(center, s)))
-            spider_edges.add((min(s, l), max(s, l)))
         if len(group) != 1 + 2 * len(legs) or group & seen:
-            return False
+            return f"spider {i} repeats a vertex"
         seen |= group
-        inside = sum(1 for u, v in t.edges if u in group and v in group)
-        if inside != 2 * len(legs):
-            return False
-        free = sum(1 for _, l in legs if t.degree(l) == 1)
-        if free < 2:
-            return False
+        if sum(1 for _, l in legs if t.degree(l) == 1) < 2:
+            return f"spider {i} keeps fewer than two untouched leaves"
     if len(seen) != t.n:
-        return False
+        return "spiders do not cover every vertex"
+    spider_edges = _spider_edges(part.spiders)
     extras = tuple(e for e in t.edges if e not in spider_edges)
     if extras != tuple(part.extra_edges):
-        return False
-    if len(extras) != len(part.spiders) - 1:
-        return False
-    return all(u in centers or v in centers for u, v in extras)
+        return "extra edges differ from the tree edges in no spider"
+    for u, v in extras:
+        if u not in centers and v not in centers:
+            return f"extra edge ({u},{v}) touches no center"
+    return ""
+
+
+def verify_spider_partition(t: Graph, part: SpiderPartition) -> bool:
+    """Validate a certificate against the family conditions, from scratch."""
+    return not _partition_fault(t, part)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +185,8 @@ def recognize_family_f(t: Graph) -> Optional[SpiderPartition]:
     vertices by ascending degree so tree leaves force their legs early.
     Edges between assigned vertices are classified incrementally and an edge
     that is neither a spider edge nor a center-touching extra edge fails the
-    branch at once.
+    branch at once; a complete assignment counts only if its certificate
+    verifies.
     """
     if not is_tree(t):
         raise GraphError("input is not a tree")
@@ -203,27 +225,39 @@ def recognize_family_f(t: Graph) -> Optional[SpiderPartition]:
         return pool >= 2
 
     def finalize() -> Optional[SpiderPartition]:
-        supports_of = defaultdict(list)
-        for v in range(n):
-            if role[v] == "s":
-                supports_of[cen[v]].append(v)
-        spiders = []
-        for v in range(n):
-            if role[v] != "c":
-                continue
-            legs = supports_of.get(v, [])
-            if len(legs) < 2:
-                return None
-            if sum(1 for s in legs if t.degree(lf[s]) == 1) < 2:
-                return None
-            spiders.append((v, tuple((s, lf[s]) for s in sorted(legs))))
-        spider_edges = set()
-        for center, legs in spiders:
-            for s, l in legs:
-                spider_edges.add((min(center, s), max(center, s)))
-                spider_edges.add((min(s, l), max(s, l)))
+        # spiders by ascending center, legs by ascending support
+        spiders = tuple(
+            (v, tuple((s, lf[s]) for s in range(n) if cen[s] == v))
+            for v in range(n)
+            if role[v] == "c"
+        )
+        spider_edges = _spider_edges(spiders)
         extras = tuple(e for e in t.edges if e not in spider_edges)
-        return SpiderPartition(tuple(spiders), extras)
+        part = SpiderPartition(spiders, extras)
+        return None if _partition_fault(t, part) else part
+
+    def leg(s: int, c: int, l: int, idx: int) -> Optional[SpiderPartition]:
+        # assign support s with center c and leaf l, recurse, then undo
+        if role[c] in ("s", "l"):
+            return None
+        new_center = role[c] is None
+        if new_center and t.degree(c) < 2:
+            return None
+        role[s], cen[s], lf[s] = "s", c, l
+        role[l] = "l"
+        if new_center:
+            role[c] = "c"
+        res = None
+        ok = edges_ok(s) and edges_ok(l)
+        if ok and new_center:
+            ok = edges_ok(c) and center_feasible(c)
+        if ok:
+            res = solve(idx + 1)
+        role[s], cen[s], lf[s] = None, -1, -1
+        role[l] = None
+        if new_center:
+            role[c] = None
+        return res
 
     def solve(idx: int) -> Optional[SpiderPartition]:
         while idx < n and role[order[idx]] is not None:
@@ -242,54 +276,20 @@ def recognize_family_f(t: Graph) -> Optional[SpiderPartition]:
             # support with chosen center and leaf
             nbrs = t.neighbors(u)
             for c in nbrs:
-                if role[c] in ("s", "l"):
-                    continue
-                new_center = role[c] is None
-                if new_center and t.degree(c) < 2:
-                    continue
                 for l in nbrs:
-                    if l == c or role[l] is not None:
-                        continue
-                    role[u], cen[u], lf[u] = "s", c, l
-                    role[l] = "l"
-                    if new_center:
-                        role[c] = "c"
-                    ok = edges_ok(u) and edges_ok(l)
-                    if ok and new_center:
-                        ok = edges_ok(c) and center_feasible(c)
-                    if ok:
-                        res = solve(idx + 1)
+                    if l != c and role[l] is None:
+                        res = leg(u, c, l, idx)
                         if res is not None:
                             return res
-                    role[u], cen[u], lf[u] = None, -1, -1
-                    role[l] = None
-                    if new_center:
-                        role[c] = None
         # leaf with chosen support and its center
         for s in t.neighbors(u):
             if role[s] is not None or t.degree(s) < 2:
                 continue
             for c in t.neighbors(s):
-                if c == u or role[c] in ("s", "l"):
-                    continue
-                new_center = role[c] is None
-                if new_center and t.degree(c) < 2:
-                    continue
-                role[u] = "l"
-                role[s], cen[s], lf[s] = "s", c, u
-                if new_center:
-                    role[c] = "c"
-                ok = edges_ok(u) and edges_ok(s)
-                if ok and new_center:
-                    ok = edges_ok(c) and center_feasible(c)
-                if ok:
-                    res = solve(idx + 1)
+                if c != u:
+                    res = leg(s, c, u, idx)
                     if res is not None:
                         return res
-                role[u] = None
-                role[s], cen[s], lf[s] = None, -1, -1
-                if new_center:
-                    role[c] = None
         return None
 
     return solve(0)
@@ -309,34 +309,24 @@ def generate_family_f(
     into a tree (each touching a center, leaving two untouched leaves per
     spider); when omitted, a seeded random wiring is drawn, rejecting
     attachments that would break the two-free-leaves condition.
-    Returns ``(tree, certificate)``.
+    Returns ``(tree, certificate)``; raises :class:`GraphError` naming the
+    first family condition an invalid wiring breaks.
     """
     ks = list(ks)
     if not ks or any(k < 2 for k in ks):
         raise GraphError("every spider needs at least 2 legs")
-    offsets = []
-    edges = []
+    spiders = []
     base = 0
     for k in ks:
-        offsets.append(base)
-        for leg in range(k):
-            s, l = base + 1 + 2 * leg, base + 2 + 2 * leg
-            edges.append((base, s))
-            edges.append((s, l))
+        legs = tuple((base + 1 + 2 * leg, base + 2 + 2 * leg) for leg in range(k))
+        spiders.append((base, legs))
         base += 2 * k + 1
-    nverts = base
     nspiders = len(ks)
-    centers = set(offsets)
+    offsets = [center for center, _ in spiders]
+    leaves_of = [{l for _, l in legs} for _, legs in spiders]
 
     def spider_of(v: int) -> int:
-        for i in range(nspiders - 1, -1, -1):
-            if v >= offsets[i]:
-                return i
-        raise GraphError(f"vertex {v} out of range")
-
-    leaves_of = [
-        {offsets[i] + 2 + 2 * leg for leg in range(ks[i])} for i in range(nspiders)
-    ]
+        return bisect_right(offsets, v) - 1
 
     if wiring is None:
         rng = SplitMix64(seed)
@@ -372,41 +362,9 @@ def generate_family_f(
 
     if len(wiring) != nspiders - 1:
         raise GraphError("wiring must contain exactly one edge per added spider")
-    comp = list(range(nspiders))
-
-    def find(i: int) -> int:
-        while comp[i] != i:
-            comp[i] = comp[comp[i]]
-            i = comp[i]
-        return i
-
-    for u, v in wiring:
-        if not (0 <= u < nverts and 0 <= v < nverts):
-            raise GraphError(f"wiring edge ({u},{v}) out of range")
-        if u not in centers and v not in centers:
-            raise GraphError(f"wiring edge ({u},{v}) touches no center")
-        su, sv = spider_of(u), spider_of(v)
-        ru, rv = find(su), find(sv)
-        if ru == rv:
-            raise GraphError(f"wiring edge ({u},{v}) closes a cycle")
-        comp[ru] = rv
-
-    tree = Graph.from_edges(nverts, edges + list(wiring))
-    for i in range(nspiders):
-        free = sum(1 for l in leaves_of[i] if tree.degree(l) == 1)
-        if free < 2:
-            raise GraphError(f"spider {i} keeps fewer than two untouched leaves")
-
-    spiders = tuple(
-        (
-            offsets[i],
-            tuple(
-                (offsets[i] + 1 + 2 * leg, offsets[i] + 2 + 2 * leg)
-                for leg in range(ks[i])
-            ),
-        )
-        for i in range(nspiders)
-    )
-    cert = SpiderPartition(spiders, tuple(sorted(wiring)))
-    assert verify_spider_partition(tree, cert)
+    tree = Graph.from_edges(base, list(_spider_edges(spiders)) + wiring)
+    cert = SpiderPartition(tuple(spiders), tuple(sorted(wiring)))
+    fault = _partition_fault(tree, cert)
+    if fault:
+        raise GraphError(fault)
     return tree, cert

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from eopack import constructions
 from eopack.cli import main
 from eopack.graph import complete, hypercube, path, star, write_graph6
 from eopack.products import lex
@@ -307,3 +308,64 @@ def test_compute_file_error_names_file_and_line(capsys, tmp_path):
     # a --g6 string has no file or line to name
     code, _, err = run_cli(capsys, "compute", "--invariant", "alpha", "--g6", "!!")
     assert code == 2 and err == "error: out-of-range character at byte 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("check", "--max-n", "-2"), "--max-n"),
+        (("check", "--budget", "-1"), "--budget"),
+        (("table", "--name", "hypercubes", "--max-n", "-3"), "--max-n"),
+    ],
+)
+def test_negative_size_flags_are_usage_errors(capsys, tmp_path, argv, flag):
+    report = tmp_path / "r.json"
+    if argv[0] == "check":
+        argv += ("--json", str(report))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag} must be a nonnegative ")
+    assert len(err.splitlines()) == 1
+    assert not report.exists()
+
+
+def test_zero_size_flags_stay_valid(capsys):
+    code, out, _ = run_cli(capsys, "table", "--name", "hypercubes", "--max-n", "0")
+    assert code == 0 and out == "n rho_2 rho_3 rho_eo\n"
+    code, out, _ = run_cli(
+        capsys, "check", "--suite", "paths-formulas", "--max-n", "0", "--budget", "0"
+    )
+    assert code == 0
+    assert "summary: total=1" in out
+
+
+@pytest.mark.parametrize(
+    "name, extra, build",
+    [
+        ("lex-im", (), constructions.lex_im_witness),
+        ("lex-eop", ("--variant", "star_based"),
+         lambda g, h: constructions.lex_eop_witness(g, h, "star_based")),
+        ("lex-eop", ("--variant", "fiber_based"),
+         lambda g, h: constructions.lex_eop_witness(g, h, "fiber_based")),
+        ("direct-eop", (), constructions.direct_eop_witness),
+        ("rooted-im", ("--root", "1"),
+         lambda g, h: constructions.rooted_im_witness(g, h, 1)),
+    ],
+)
+def test_witness_product_names(capsys, name, extra, build):
+    g, h = path(4), star(3)
+    code, out, _ = run_cli(
+        capsys, "witness", "--name", name,
+        "--g", write_graph6(g), "--h", write_graph6(h), *extra,
+    )
+    _, w = build(g, h)
+    assert code == 0
+    assert f"size: {len(w)}" in out.splitlines()
+    assert out.splitlines()[-1] == "VALID"
+
+
+def test_witness_rooted_im_needs_root(capsys):
+    p4 = write_graph6(path(4))
+    code, out, err = run_cli(capsys, "witness", "--name", "rooted-im", "--g", p4, "--h", p4)
+    assert code == 2 and out == ""
+    assert err == "error: rooted-im needs --root\n"

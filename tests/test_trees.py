@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from eopack.graph import (
@@ -18,6 +20,7 @@ from eopack.invariants import (
     verify_witness,
 )
 from eopack.trees import (
+    SpiderPartition,
     generate_family_f,
     is_tree,
     nu_i_tree,
@@ -128,11 +131,49 @@ def test_family_value_and_unique_optimum():
 
 def test_characterization_small_trees():
     # family membership (or P1/P2) iff the two invariants agree
-    for n in range(2, 8):
+    for n in range(2, 13):
         for t in enumerate_trees(n, dedup=True):
             part = recognize_family_f(t)
             equal = nu_i(t).value == rho_eo(t).value
             assert (part is not None) == equal
+            if part is not None:
+                assert verify_spider_partition(t, part)
+
+
+def test_recognizer_certificates_are_pinned():
+    # sha256 over repr(recognize_family_f(t)) for the 986 unlabeled trees on
+    # 2..12 vertices, in enumeration order; pins spider order, leg order and
+    # extra-edge order of every certificate, and every non-member
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(2, 13):
+        for t in enumerate_trees(n, dedup=True):
+            digest.update(repr(recognize_family_f(t)).encode())
+            count += 1
+    assert count == 986
+    assert digest.hexdigest() == (
+        "541695908a5c84649a6e6a57c79d77f86af46175cc0eaca751a31512100700d8"
+    )
+
+
+def _three_spiders_with_triangle():
+    # three 2-leg spiders centred at 0, 5 and 10; the extra edges (0,5) and
+    # (0,6) close the triangle 0-5-6 and leave the spider at 10 detached
+    spiders = tuple(
+        (b, ((b + 1, b + 2), (b + 3, b + 4))) for b in (0, 5, 10)
+    )
+    edges = [(c, s) for c, legs in spiders for s, _ in legs]
+    edges += [(s, l) for _, legs in spiders for s, l in legs]
+    g = Graph.from_edges(15, edges + [(0, 5), (0, 6)])
+    return g, SpiderPartition(spiders, ((0, 5), (0, 6)))
+
+
+def test_verify_rejects_partition_of_non_tree():
+    g, part = _three_spiders_with_triangle()
+    assert not is_tree(g)
+    assert not verify_spider_partition(g, part)
+    with pytest.raises(GraphError):
+        generate_family_f([2, 2, 2], wiring=[(0, 5), (0, 6)])
 
 
 def test_subdivided_star_equality_cases():
