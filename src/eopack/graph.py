@@ -611,6 +611,36 @@ def _first_target(cells: list, start: int) -> int:
     return -1
 
 
+def _twin_cell_generators(adj: Sequence[int], cells: list) -> Optional[list]:
+    """A transposition and a full cycle of each non-singleton cell, if all are twin cells.
+
+    None as soon as some non-singleton cell is not a twin cell.  Each cell
+    costs one mask comparison per vertex; a 2-vertex cell gets only its
+    transposition, which is also its cycle.
+    """
+    gens = []
+    n = len(adj)
+    for x in cells:
+        if not x & (x - 1):
+            continue
+        cell = list(bits(x))
+        v0 = cell[0]
+        if not (
+            all(adj[v] == adj[v0] for v in cell)
+            or all(adj[v] | 1 << v == adj[v0] | 1 << v0 for v in cell)
+        ):
+            return None
+        swap = list(range(n))
+        swap[cell[0]], swap[cell[1]] = cell[1], cell[0]
+        gens.append(tuple(swap))
+        if len(cell) > 2:
+            cyc = list(range(n))
+            for a, b in zip(cell, cell[1:] + cell[:1]):
+                cyc[a] = b
+            gens.append(tuple(cyc))
+    return gens
+
+
 def automorphism_generators(g: Graph) -> list:
     """Automorphisms of g, as tuples ``p`` with ``v -> p[v]``, generating a subgroup of Aut(g).
 
@@ -628,15 +658,27 @@ def automorphism_generators(g: Graph) -> list:
     search stops, keeping what it found, once its individualizations times
     the order exceed ``_AUT_WORK_LIMIT``.  Every returned map passes
     :func:`is_aut`, so its orbits are orbits of a real subgroup.
+
+    Refinement cannot split twins, so a graph with a large twin class would
+    spend the whole work limit on its first path.  A *twin cell* is a cell
+    whose vertices all have the same open neighborhood, or all the same
+    closed one; any permutation of it fixing the other vertices is an
+    automorphism.  So when every non-singleton cell of the refined unit
+    partition is a twin cell, Aut(g) is exactly the product of the cells'
+    symmetric groups (automorphisms preserve that partition), and the
+    result is one transposition and one full cycle per cell, with no search.
     """
     n, adj = g.n, g.adj
     if n < 2:
         return []
-    steps = _AUT_WORK_LIMIT // n
     cells = [0] * n
     cells[0] = (1 << n) - 1
     cell_of = [0] * n
     _refine(adj, cells, cell_of, [0])
+    twins = _twin_cell_generators(adj, cells)
+    if twins is not None:
+        return twins
+    steps = _AUT_WORK_LIMIT // n
     shapes = [[x.bit_count() for x in cells]]
     levels = []  # (cells, cell_of, target start) before each individualization
     st = _first_target(cells, 0)
@@ -697,25 +739,63 @@ def canonical_graph(g: Graph) -> Graph:
     return _graph_from_bits(g.n, canonical_form(g))
 
 
+def _max_key_extensions(adj: Sequence[int]) -> Iterator[int]:
+    """Neighborhoods ``nbrs`` of a new vertex whose key is greatest in the child.
+
+    Keys are (degree, sum of neighbor degrees) in the child, compared
+    lexicographically; ties with the new vertex are allowed.  A parent
+    vertex v has child degree ``deg[v] + (v in nbrs)``, so with
+    ``d = |nbrs|`` the new vertex wins on degree exactly when no parent
+    vertex has degree above d, and none in ``nbrs`` has degree d; only the
+    vertices tied with it on degree need their neighbor sums compared.
+    """
+    deg = [a.bit_count() for a in adj]
+    at = [0] * (len(adj) + 2)  # at[k]: parent vertices of degree k
+    for v, k in enumerate(deg):
+        at[k] |= 1 << v
+    nsum = [sum(deg[w] for w in bits(a)) for a in adj]
+    top = max(deg)
+    for nbrs in range(1 << len(adj)):
+        d = nbrs.bit_count()
+        if d < top or nbrs & at[d]:
+            continue
+        ties = at[d] | (at[d - 1] & nbrs)  # at[-1] is 0, and so is nbrs when d = 0
+        if ties:
+            total = d + sum(deg[v] for v in bits(nbrs))
+            if any(
+                nsum[v] + (adj[v] & nbrs).bit_count() + d * ((nbrs >> v) & 1) > total
+                for v in bits(ties)
+            ):
+                continue
+        yield nbrs
+
+
 def enumerate_graphs(n: int, dedup: bool = False) -> Iterator[Graph]:
     """All labeled graphs on n vertices, or one representative per class.
 
-    The deduped stream builds each order from the one below: every graph on
-    n vertices is a graph on n - 1 vertices plus one vertex, so joining a
-    new vertex to every neighborhood of every smaller representative reaches
-    each class.  Representatives are the canonical forms (the orbit minima of
-    :func:`canonical_form`), yielded in ascending order.
+    The deduped stream (1 <= n <= 8) builds each order from the one below by
+    canonical deletion (McKay, *Isomorph-free exhaustive generation*, 1998):
+    a new vertex is joined to a neighborhood of a smaller representative
+    only if it gets the greatest key in the child, where a vertex's key is
+    its degree, then the sum of its neighbors' degrees (see
+    :func:`_max_key_extensions`).  This loses no class: deleting a vertex u
+    of greatest key from a graph C leaves a graph isomorphic to some smaller
+    representative P, the isomorphism carries N(u) onto some neighborhood
+    of P, and since the key is an isomorphism invariant, the new vertex of
+    that child has the greatest key too.  Children are still identified by
+    :func:`canonical_form`, so representatives are the canonical forms (the
+    orbit minima), yielded in ascending order.
     """
     if dedup:
-        if not 1 <= n <= 7:
-            raise GraphError("dedup enumeration supports 1 <= n <= 7")
+        if not 1 <= n <= 8:
+            raise GraphError("dedup enumeration supports 1 <= n <= 8")
         forms = [0]
         for size in range(2, n + 1):
             new = size - 1
             grown = set()
             for form in forms:
                 base = _graph_from_bits(new, form).adj
-                for nbrs in range(1 << new):
+                for nbrs in _max_key_extensions(base):
                     adj = list(base)
                     for v in bits(nbrs):
                         adj[v] |= 1 << new

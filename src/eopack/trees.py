@@ -69,6 +69,12 @@ def _partition_fault(t: Graph, part: SpiderPartition) -> str:
     each spider spans exactly its own 2k edges and there are exactly
     (spiders - 1) extra edges, so neither count needs a check of its own.
     """
+    named = [x for e in part.extra_edges for x in e]
+    for center, legs in part.spiders:
+        named.append(center)
+        named.extend(x for leg in legs for x in leg)
+    if any(not 0 <= x < t.n for x in named):
+        return "certificate names a vertex outside the graph"
     if not is_tree(t):
         return "graph is not a tree"
     if part.trivial:

@@ -149,10 +149,35 @@ def test_relabelled_hypercubes_have_one_vertex_and_one_edge_orbit(d):
 
 
 def test_work_limit_keeps_large_twin_classes_cheap():
-    # 1,100 mutual twins: the first path alone exceeds the work limit
-    assert automorphism_generators(empty_graph(1100)) == []
+    # 1,100 mutual twins form one twin cell, so no search runs at all
+    assert orbit_masks(1100, automorphism_generators(empty_graph(1100))) == [(1 << 1100) - 1]
     for p in automorphism_generators(complete(100)):
         assert is_aut(complete(100), p)
+
+
+@pytest.mark.parametrize(
+    "g, cells",
+    [
+        (complete(300), [(1 << 300) - 1]),
+        (empty_graph(1100), [(1 << 1100) - 1]),
+        (complete_bipartite(3, 5), [0b111, 0b11111000]),
+        # a path's ends are twins; its middle is a singleton cell
+        (Graph.from_edges(3, [(0, 1), (1, 2)]), [0b101, 0b010]),
+    ],
+)
+def test_twin_cells_give_the_full_group(g, cells):
+    gens = automorphism_generators(g)
+    assert all(is_aut(g, p) for p in gens)
+    assert sorted(orbit_masks(g.n, gens)) == sorted(cells)
+
+
+def test_twin_cells_need_every_cell_twin():
+    # C_5 beside K_{1,3}: the leaves form a twin cell, but the cycle's cell
+    # is no twin cell, so the search runs and still finds both orbits
+    g = Graph.from_edges(9, [(i, (i + 1) % 5) for i in range(5)] + [(5, 6), (5, 7), (5, 8)])
+    gens = automorphism_generators(g)
+    assert all(is_aut(g, p) for p in gens)
+    assert sorted(orbit_masks(9, gens)) == sorted([0b11111, 1 << 5, 0b111 << 6])
 
 
 # ---------------------------------------------------------------------------

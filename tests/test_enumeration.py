@@ -1,9 +1,13 @@
+import hashlib
+
 import pytest
 
 from eopack.graph import (
     Graph,
     GraphError,
+    _max_key_extensions,
     _tree_code,
+    bits,
     canonical_form,
     canonical_graph,
     complete,
@@ -35,7 +39,45 @@ def test_enumeration_range_checks():
     with pytest.raises(GraphError):
         list(enumerate_graphs(7))
     with pytest.raises(GraphError):
-        list(enumerate_graphs(8, dedup=True))
+        list(enumerate_graphs(9, dedup=True))
+    with pytest.raises(GraphError):
+        list(enumerate_graphs(0, dedup=True))
+
+
+# sha256 of the comma-joined decimal canonical forms, in yield order, as the
+# one-vertex extension without canonical deletion produced them
+FORM_DIGESTS = {
+    1: "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+    2: "83b97b859aa5f81b2f0f86ba2a675efaf515ad2d5e2b8652cf2de7e1c2267350",
+    3: "e07a92fb5aaa979553ff4952bd4597b190f6f37b327b065caeb0272ef00c4a82",
+    4: "ee8879922ff2981c1ef94a44feef8f72d7beb0c9cad9d539f0d678d3877a7d26",
+    5: "0590bd47e8dd07dcaf48fca66c863cb1cb934329d93ef0563b96122174383eec",
+    6: "2d01f5d8a4feb13139b83e7c225a2c04568935848b620cae2d28194fa2b246e8",
+    7: "409cc39ac8b2a97b4cb375d79e3658bf2f447a0ea1f3fd5bc580ddb505f502ac",
+}
+
+
+def test_unlabeled_forms_and_order_are_pinned():
+    for n, want in FORM_DIGESTS.items():
+        forms = [canonical_form(g) for g in enumerate_graphs(n, dedup=True)]
+        assert hashlib.sha256(",".join(map(str, forms)).encode()).hexdigest() == want
+
+
+def test_max_key_extensions_keep_a_vertex_of_greatest_key():
+    # every kept neighborhood gives its new vertex the greatest
+    # (degree, neighbor degree sum) key, and every class of the child order
+    # is reached from some kept one
+    def key(adj, v):
+        return adj[v].bit_count(), sum(adj[w].bit_count() for w in bits(adj[v]))
+
+    for n in range(1, 6):
+        reached = set()
+        for g in enumerate_graphs(n, dedup=True):
+            for nbrs in _max_key_extensions(g.adj):
+                adj = [a | ((nbrs >> v) & 1) << n for v, a in enumerate(g.adj)] + [nbrs]
+                assert key(adj, n) == max(key(adj, v) for v in range(n + 1))
+                reached.add(canonical_form(Graph(n + 1, adj)))
+        assert reached == {canonical_form(g) for g in enumerate_graphs(n + 1, dedup=True)}
 
 
 def test_canonical_form_matches_orbit_minimum():

@@ -176,6 +176,19 @@ def test_verify_rejects_partition_of_non_tree():
         generate_family_f([2, 2, 2], wiring=[(0, 5), (0, 6)])
 
 
+def test_verify_rejects_vertices_outside_the_graph():
+    # a negative support, a center past the end and a leaf past the end of
+    # P_5, whose own certificate is the 2-leg spider centered at 2
+    t = path(5)
+    assert verify_spider_partition(t, SpiderPartition(((2, ((1, 0), (3, 4))),), ()))
+    for spiders in (
+        ((2, ((-1, 0), (3, 4))),),
+        ((7, ((1, 0), (3, 4))),),
+        ((2, ((1, 9), (3, 4))),),
+    ):
+        assert verify_spider_partition(t, SpiderPartition(spiders, ())) is False
+
+
 def test_subdivided_star_equality_cases():
     # equality holds exactly for P_2, P_5 and spiders with >= 3 legs
     cases = {
