@@ -172,6 +172,8 @@ def _cmd_witness(args) -> int:
 def _cmd_check(args) -> int:
     _require_nonnegative("--max-n", args.max_n)
     _require_nonnegative("--budget", args.budget)
+    if not harness.list_checks(args.suite):
+        raise GraphError(f"--suite {args.suite!r} selects no check")
     # the report file is opened first, so a bad path fails before the suite runs
     with open(args.json, "w") if args.json else contextlib.nullcontext() as fh:
         reports, summary = harness.run_suite(
@@ -211,7 +213,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="eopack",
         description="Exact induced matching / edge open packing toolkit.",
         epilog=(
-            "Solver caps default to 250 conflict items and 64 vertices; "
+            f"Solver caps default to {invariants.DEFAULT_MAX_ITEMS} conflict items "
+            f"and {invariants.DEFAULT_MAX_VERTICES} vertices; "
             "override with EOPACK_MAX_ITEMS / EOPACK_MAX_VERTICES or "
             "--max-items."
         ),

@@ -15,44 +15,47 @@ from .invariants import alpha, distance_packing, nu_i, rho_eo, rho_o, verify_wit
 from .products import ProductGraph, cartesian, direct, lex, product, rooted_product
 
 
-def _star_decomposition(g: Graph, witness: Sequence[int]) -> list:
-    """Split an edge-open-packing witness into stars: ``[(center, leaves)]``.
+def _star_edges(g: Graph) -> list:
+    """A maximum EOP set of g as ``(center, leaf)`` pairs of its stars.
 
     Components with one edge use the lower-indexed endvertex as center.
     """
-    pairs = [g.edges[i] for i in witness]
+    pairs = [g.edges[i] for i in rho_eo(g).witness]
     deg: dict = {}
     for u, v in pairs:
         deg[u] = deg.get(u, 0) + 1
         deg[v] = deg.get(v, 0) + 1
-    stars: dict = {}
+    out = []
     for u, v in pairs:
         if deg[u] > 1 and deg[v] > 1:
             raise GraphError("witness does not induce a disjoint union of stars")
         if deg[u] > 1:
-            c, leaf = u, v
+            out.append((u, v))
         elif deg[v] > 1:
-            c, leaf = v, u
+            out.append((v, u))
         else:
-            c, leaf = min(u, v), max(u, v)
-        stars.setdefault(c, []).append(leaf)
-    return sorted((c, sorted(ls)) for c, ls in stars.items())
+            out.append((min(u, v), max(u, v)))
+    return out
 
 
 def _edge_idx(p: ProductGraph, a: int, b: int) -> int:
     return p.graph.edge_index[(a, b) if a < b else (b, a)]
 
 
+def _fiber_copies(
+    p: ProductGraph, h: Graph, fibers: Sequence[int], witness: Sequence[int]
+) -> set:
+    """Edges of p that copy the edges ``witness`` of h into each fiber over ``fibers``."""
+    edges = [h.edges[i] for i in witness]
+    return {
+        _edge_idx(p, p.encode(gv, x), p.encode(gv, y)) for gv in fibers for x, y in edges
+    }
+
+
 def lex_im_witness(g: Graph, h: Graph) -> tuple:
     """Induced matching of size alpha(g) * nu_i(h) inside independent fibers."""
     p = lex(g, h)
-    fibers = alpha(g).witness
-    matching = nu_i(h).witness
-    w = set()
-    for gv in fibers:
-        for i in matching:
-            x, y = h.edges[i]
-            w.add(_edge_idx(p, p.encode(gv, x), p.encode(gv, y)))
+    w = _fiber_copies(p, h, alpha(g).witness, nu_i(h).witness)
     return p, tuple(sorted(w))
 
 
@@ -65,21 +68,16 @@ def lex_eop_witness(g: Graph, h: Graph, variant: str = "star_based") -> tuple:
     the fibers over an independent set of g: size alpha(g) * rho_eo(h).
     """
     p = lex(g, h)
-    w = set()
     if variant == "star_based":
-        stars = _star_decomposition(g, rho_eo(g).witness)
+        stars = _star_edges(g)
         spots = alpha(h).witness
-        for center, leaves in stars:
-            for leaf in leaves:
-                for hv in spots:
-                    w.add(_edge_idx(p, p.encode(center, 0), p.encode(leaf, hv)))
+        w = {
+            _edge_idx(p, p.encode(c, 0), p.encode(leaf, hv))
+            for c, leaf in stars
+            for hv in spots
+        }
     elif variant == "fiber_based":
-        fibers = alpha(g).witness
-        packing = rho_eo(h).witness
-        for gv in fibers:
-            for i in packing:
-                x, y = h.edges[i]
-                w.add(_edge_idx(p, p.encode(gv, x), p.encode(gv, y)))
+        w = _fiber_copies(p, h, alpha(g).witness, rho_eo(h).witness)
     else:
         raise GraphError(f"unknown variant {variant!r}")
     return p, tuple(sorted(w))
@@ -104,17 +102,16 @@ def direct_im_witness(g: Graph, h: Graph) -> tuple:
 def _direct_eop_oneway(p: ProductGraph, g: Graph, h: Graph, swap: bool) -> set:
     # stars of a maximum EOP set of the first factor, fanned out from the
     # star centers to the neighborhoods of an open packing of the second
-    stars = _star_decomposition(g, rho_eo(g).witness)
+    stars = _star_edges(g)
     packing = rho_o(h).witness
     w = set()
-    for center, leaves in stars:
-        for leaf in leaves:
-            for hv in packing:
-                for hn in bits(h.adj[hv]):
-                    if swap:
-                        w.add(_edge_idx(p, p.encode(hv, center), p.encode(hn, leaf)))
-                    else:
-                        w.add(_edge_idx(p, p.encode(center, hv), p.encode(leaf, hn)))
+    for center, leaf in stars:
+        for hv in packing:
+            for hn in bits(h.adj[hv]):
+                if swap:
+                    w.add(_edge_idx(p, p.encode(hv, center), p.encode(hn, leaf)))
+                else:
+                    w.add(_edge_idx(p, p.encode(center, hv), p.encode(leaf, hn)))
     return w
 
 
@@ -142,18 +139,13 @@ def box_eop_witness(g: Graph, h: Graph, kind: str = "cartesian") -> tuple:
     if kind not in ("cartesian", "strong"):
         raise GraphError(f"unsupported product kind {kind!r}")
     p = product(kind, g, h)
-    stars = _star_decomposition(g, rho_eo(g).witness)
-    w1 = set()
-    for center, leaves in stars:
-        for leaf in leaves:
-            for hv in alpha(h).witness:
-                w1.add(_edge_idx(p, p.encode(center, hv), p.encode(leaf, hv)))
-    w2 = set()
+    w1 = {
+        _edge_idx(p, p.encode(c, hv), p.encode(leaf, hv))
+        for c, leaf in _star_edges(g)
+        for hv in alpha(h).witness
+    }
     packing = rho_eo(h).witness
-    for gv in alpha(g).witness:
-        for i in packing:
-            x, y = h.edges[i]
-            w2.add(_edge_idx(p, p.encode(gv, x), p.encode(gv, y)))
+    w2 = _fiber_copies(p, h, alpha(g).witness, packing)
     best = w1 if len(w1) >= len(w2) else w2
     return p, tuple(sorted(best))
 
@@ -291,12 +283,9 @@ def rooted_im_witness(g: Graph, h: Graph, root: int) -> tuple:
     g; in the remaining fibers any root-incident matching edge is dropped.
     """
     p = rooted_product(g, h, root)
-    matching = [h.edges[i] for i in nu_i(h).witness]
-    independent = set(alpha(g).witness)
-    w = set()
-    for i in range(g.n):
-        for x, y in matching:
-            if i not in independent and root in (x, y):
-                continue
-            w.add(_edge_idx(p, p.encode(i, x), p.encode(i, y)))
+    matching = nu_i(h).witness
+    independent = alpha(g).witness
+    others = [v for v in range(g.n) if v not in independent]
+    off_root = [i for i in matching if root not in h.edges[i]]
+    w = _fiber_copies(p, h, independent, matching) | _fiber_copies(p, h, others, off_root)
     return p, tuple(sorted(w))

@@ -128,31 +128,40 @@ def bits(mask: int) -> Iterator[int]:
 # graph6 codec (headerless, standard 6-bit encoding)
 # ---------------------------------------------------------------------------
 
-def _pair_index(i: int, j: int) -> int:
-    # column-major upper triangle: x(0,1), x(0,2), x(1,2), x(0,3), ...
-    return j * (j - 1) // 2 + i
+# (leading '~' marks, 6-bit characters, orders below this bound) of the order
+# field; the first row that fits n is the one written, any row is read
+_G6_ORDER_FIELDS = ((0, 1, 63), (1, 3, 1 << 18), (2, 6, 1 << 36))
+
+
+def _bit_string(adj: Sequence[int]) -> str:
+    """Upper-triangle adjacency as a "0"/"1" string in graph6 pair order.
+
+    Pairs are column-major, x(0,1) x(0,2) x(1,2) x(0,3) ..., so column j is
+    the low j bits of ``adj[j]``, lowest vertex first.  :func:`_canonical_bits`
+    emits its strings in the same order, first pair most significant.
+    """
+    return "".join(
+        format(adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, len(adj))
+    )
+
+
+def _graph_from_bit_string(n: int, s: str) -> Graph:
+    """Inverse of :func:`_bit_string` on a string of n(n-1)/2 bits."""
+    adj = [0] * n
+    for j in range(1, n):
+        adj[j] = int(s[j * (j - 1) // 2 : j * (j + 1) // 2][::-1], 2)
+        for i in bits(adj[j]):
+            adj[i] |= 1 << j
+    return Graph(n, adj)
 
 
 def _pack_bits(g: Graph) -> int:
     """Adjacency bitstring of g packed into an int, first pair most significant."""
-    nbits = g.n * (g.n - 1) // 2
-    out = 0
-    for u, v in g.edges:
-        out |= 1 << (nbits - 1 - _pair_index(u, v))
-    return out
+    return int(_bit_string(g.adj) or "0", 2)
 
 
 def _graph_from_bits(n: int, packed: int) -> Graph:
-    nbits = n * (n - 1) // 2
-    adj = [0] * n
-    p = 0
-    for j in range(1, n):
-        for i in range(j):
-            if (packed >> (nbits - 1 - p)) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            p += 1
-    return Graph(n, adj)
+    return _graph_from_bit_string(n, format(packed, f"0{n * (n - 1) // 2}b"))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -167,63 +176,43 @@ def parse_graph6(text: str) -> Graph:
     if not data:
         raise GraphError("empty graph6 string")
 
-    def val(k: int) -> int:
-        c = data[k]
-        if not 63 <= c <= 126:
-            raise GraphError(f"out-of-range character at byte {k}")
-        return c - 63
+    def six_bits(start: int, stop: int) -> str:
+        """``data[start:stop]`` as a "0"/"1" string, six bits per character."""
+        for k in range(start, stop):
+            if not 63 <= data[k] <= 126:
+                raise GraphError(f"out-of-range character at byte {k}")
+        return "".join(format(c - 63, "06b") for c in data[start:stop])
 
-    pos = 0
-    if data[0] != 126:  # '~'
-        n = val(0)
-        pos = 1
-    else:
-        if len(data) < 2:
-            raise GraphError("truncated length field at byte 1")
-        if data[1] != 126:
-            if len(data) < 4:
-                raise GraphError(f"truncated length field at byte {len(data)}")
-            n = (val(1) << 12) | (val(2) << 6) | val(3)
-            pos = 4
-        else:
-            if len(data) < 8:
-                raise GraphError(f"truncated length field at byte {len(data)}")
-            n = 0
-            for k in range(2, 8):
-                n = (n << 6) | val(k)
-            pos = 8
-
+    marks = 2 if data.startswith(b"~~") else 1 if data.startswith(b"~") else 0
+    pos = marks + _G6_ORDER_FIELDS[marks][1]
+    if len(data) < pos:
+        raise GraphError(f"truncated length field at byte {len(data)}")
+    n = int(six_bits(marks, pos), 2)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(data) - pos < nbytes:
         raise GraphError(f"truncated edge data at byte {len(data)}")
     if len(data) - pos > nbytes:
         raise GraphError(f"trailing bytes at byte {pos + nbytes}")
-    packed = 0
-    for k in range(nbytes):
-        packed = (packed << 6) | val(pos + k)
-    pad = 6 * nbytes - nbits
-    if pad and packed & ((1 << pad) - 1):
+    body = six_bits(pos, len(data))
+    if "1" in body[nbits:]:
         raise GraphError(f"nonzero padding bits at byte {pos + nbytes - 1}")
-    return _graph_from_bits(n, packed >> pad)
+    return _graph_from_bit_string(n, body[:nbits])
 
 
 def write_graph6(g: Graph) -> str:
     """Encode g as a headerless graph6 string."""
     n = g.n
-    if n >= 1 << 36:
-        raise GraphError("graph too large for graph6")
-    if n <= 62:
-        head = [n + 63]
-    elif n <= 258047:
-        head = [126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
+    for marks, width, bound in _G6_ORDER_FIELDS:
+        if n < bound:
+            break
     else:
-        head = [126, 126] + [((n >> (6 * k)) & 63) + 63 for k in range(5, -1, -1)]
-    nbits = n * (n - 1) // 2
-    nbytes = (nbits + 5) // 6
-    packed = _pack_bits(g) << (6 * nbytes - nbits)
-    body = [((packed >> (6 * (nbytes - 1 - k))) & 63) + 63 for k in range(nbytes)]
-    return bytes(head + body).decode("ascii")
+        raise GraphError("graph too large for graph6")
+    body = _bit_string(g.adj)
+    body += "0" * (-len(body) % 6)
+    fields = [(n >> 6 * k) & 63 for k in reversed(range(width))]
+    fields += (int(body[k : k + 6], 2) for k in range(0, len(body), 6))
+    return "~" * marks + "".join(chr(63 + x) for x in fields)
 
 
 def iter_graph6(text: str) -> Iterator[Graph]:

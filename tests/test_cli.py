@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from eopack import constructions
+from eopack import constructions, harness
 from eopack.cli import main
 from eopack.graph import complete, hypercube, path, star, write_graph6
 from eopack.products import lex
@@ -236,6 +236,18 @@ def test_check_unwritable_json_fails_before_the_suite(capsys, tmp_path):
     code, out, err = run_cli(capsys, "check", "--suite", "paths", "--json", str(target))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_check_suite_selecting_nothing_is_usage_error(capsys, tmp_path):
+    report = tmp_path / "r.json"
+    code, out, err = run_cli(
+        capsys, "check", "--suite", "no-such-thing", "--json", str(report)
+    )
+    assert code == 2 and out == ""
+    assert err == "error: --suite 'no-such-thing' selects no check\n"
+    assert not report.exists()
+    reports, summary = harness.run_suite("no-such")
+    assert reports == [] and summary["total"] == 0
 
 
 def test_negative_max_items_is_usage_error(capsys):

@@ -19,6 +19,7 @@ from eopack.graph import (
     distances,
     enumerate_graphs,
     enumerate_trees,
+    hypercube,
     parse_graph6,
     random_graph,
     write_graph6,
@@ -53,15 +54,23 @@ def corpus():
         yield random_graph(4 + i % 9, "1/2", seed=3000 + i)
 
 
+def graph6_corpus():
+    # orders past 62 take the 4-byte length field
+    yield from corpus()
+    for n in (63, 100, 300):
+        yield random_graph(n, "1/3", seed=n)
+    yield hypercube(9)
+
+
 def test_graph6_encoding_matches_networkx():
-    for g in corpus():
+    for g in graph6_corpus():
         ours = write_graph6(g)
         theirs = nx.to_graph6_bytes(to_nx(g), header=False).decode().strip()
         assert ours == theirs
 
 
 def test_graph6_decoding_matches_networkx():
-    for g in corpus():
+    for g in graph6_corpus():
         s = nx.to_graph6_bytes(to_nx(g), header=False).decode().strip()
         assert parse_graph6(s) == g
 

@@ -1,6 +1,13 @@
 import pytest
 
-from eopack.graph import Graph, GraphError, iter_graph6, parse_graph6, write_graph6
+from eopack.graph import (
+    Graph,
+    GraphError,
+    hypercube,
+    iter_graph6,
+    parse_graph6,
+    write_graph6,
+)
 
 
 def test_hand_decoded_example():
@@ -74,6 +81,40 @@ def test_nonzero_padding_rejected():
     # K_1,4 body byte with a padding bit forced on: '{' -> '}'
     with pytest.raises(GraphError, match="padding"):
         parse_graph6("D?}")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty graph6 string"),
+        ("B\u00e9", "non-ASCII character at byte 1"),
+        ("\x1fA", "truncated edge data at byte 1"),  # strip() removes \x1f
+        ("B\x14", "out-of-range character at byte 1"),
+        ("~", "truncated length field at byte 1"),
+        ("~A", "truncated length field at byte 2"),
+        ("~~AB", "truncated length field at byte 4"),
+        ("D?", "truncated edge data at byte 2"),
+        ("Bww", "trailing bytes at byte 2"),
+        ("D?}", "nonzero padding bits at byte 2"),
+    ],
+)
+def test_parse_errors_are_pinned(text, message):
+    with pytest.raises(GraphError) as info:
+        parse_graph6(text)
+    assert str(info.value) == message
+
+
+def test_non_minimal_length_fields_decode():
+    k3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+    assert parse_graph6("~??Bw") == k3
+    assert parse_graph6("~~?????Bw") == k3
+    assert parse_graph6("~~??????") == Graph(0, [])
+    assert parse_graph6("~~?????@") == Graph(1, [0])
+
+
+def test_hypercube_10_round_trip():
+    q = hypercube(10)
+    assert parse_graph6(write_graph6(q)) == q
 
 
 def test_multi_graph_file():

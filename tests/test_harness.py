@@ -70,7 +70,6 @@ def test_paths_check_passes():
 
 
 def test_q9_is_registered_but_skipped():
-    assert REGISTRY["q9-bound"].out_of_scope
     r = run_check("q9-bound")
     assert r.status == "skipped" and r.instances_run == 0
 
@@ -201,7 +200,7 @@ def test_capacity_skips_reported_without_timing(monkeypatch):
 
 
 # instances_run per check for run_suite() at full size and at max_n=3; every
-# check passes with no capacity skip, except q9-bound, which is out of scope
+# check passes with no capacity skip, except q9-bound, which records nothing
 PINNED_INSTANCES = {
     "paths-formulas": (20, 3),
     "spider-equality": (4, 4),
