@@ -38,10 +38,10 @@ _INVARIANTS = {
 _EDGE_INVARIANTS = {"nu-i", "rho-eo"}
 
 
-def _format_witness(g: Graph, res, edge_valued: bool) -> str:
+def _format_witness(g: Graph, w, edge_valued: bool) -> str:
     if edge_valued:
-        return " ".join(f"{u}-{v}" for u, v in (g.edges[i] for i in res.witness))
-    return " ".join(str(v) for v in res.witness)
+        return " ".join(f"{u}-{v}" for u, v in (g.edges[i] for i in w))
+    return " ".join(map(str, w))
 
 
 def _require_nonnegative(flag: str, value) -> None:
@@ -71,9 +71,8 @@ def _cmd_compute(args) -> int:
         res = fn(g, max_items=args.max_items)
         print(res.value)
         if args.witness:
-            print(
-                "witness:", _format_witness(g, res, args.invariant in _EDGE_INVARIANTS)
-            )
+            edge_valued = args.invariant in _EDGE_INVARIANTS
+            print("witness:", _format_witness(g, res.witness, edge_valued))
     return EXIT_OK
 
 
@@ -94,77 +93,60 @@ def _cmd_product(args) -> int:
     return EXIT_OK
 
 
-def _cmd_witness(args) -> int:
+def _witness_instance(args) -> tuple:
+    """(host graph, witness, witness kind, k) of the named construction."""
     name = args.name
-    if name == "hamming-code":
+    if name in ("hamming-code", "hypercube-eop"):
         if args.k is None:
-            raise GraphError("hamming-code needs --k")
+            raise GraphError(f"{name} needs --k")
+        if name == "hypercube-eop":
+            host, w = constructions.hypercube_eop_witness(args.k)
+            return host, w, "eop", None
         code = constructions.hamming_perfect_code(args.k)
-        host = hypercube(2 ** args.k - 1)
-        ok = invariants.verify_witness(host, code, "perfect_code")
-        print("graph:", write_graph6(host))
-        print("size:", len(code))
-        print("witness:", " ".join(map(str, code)))
-        print("VALID" if ok else "INVALID")
-        return EXIT_OK if ok else EXIT_FAILURES
-
-    if name == "hypercube-eop":
-        if args.k is None:
-            raise GraphError("hypercube-eop needs --k")
-        host, w = constructions.hypercube_eop_witness(args.k)
-        ok = invariants.verify_witness(host, w, "eop")
-        kind = "eop"
-    elif name == "bipartite-eop":
+        return hypercube(2 ** args.k - 1), code, "perfect_code", None
+    if name in ("bipartite-eop", "prism-3packing"):
         if args.g6 is None:
-            raise GraphError("bipartite-eop needs --g6")
-        host = parse_graph6(args.g6)
-        w = constructions.bipartite_eop_witness(host)
-        ok = invariants.verify_witness(host, w, "eop")
-        kind = "eop"
-    elif name == "prism-3packing":
-        if args.g6 is None:
-            raise GraphError("prism-3packing needs --g6")
+            raise GraphError(f"{name} needs --g6")
         base = parse_graph6(args.g6)
+        if name == "bipartite-eop":
+            return base, constructions.bipartite_eop_witness(base), "eop", None
         p, w = constructions.prism_3packing_witness(base)
-        host = p.graph
-        ok = invariants.verify_witness(host, w, "k_packing", k=3)
-        kind = "vertices"
-    else:
-        if args.g is None or args.h is None:
-            raise GraphError(f"{name} needs --g and --h")
-        g = parse_graph6(args.g)
-        h = parse_graph6(args.h)
-        if name == "lex-im":
-            p, w = constructions.lex_im_witness(g, h)
-            kind = "induced_matching"
-        elif name == "lex-eop":
-            p, w = constructions.lex_eop_witness(g, h, args.variant)
-            kind = "eop"
-        elif name == "direct-im":
-            p, w = constructions.direct_im_witness(g, h)
-            kind = "induced_matching"
-        elif name == "direct-eop":
-            p, w = constructions.direct_eop_witness(g, h)
-            kind = "eop"
-        elif name == "box-eop":
-            p, w = constructions.box_eop_witness(g, h, args.product_kind)
-            kind = "eop"
-        elif name == "rooted-im":
-            if args.root is None:
-                raise GraphError("rooted-im needs --root")
-            p, w = constructions.rooted_im_witness(g, h, args.root)
-            kind = "induced_matching"
-        else:  # pragma: no cover - argparse restricts choices
-            raise GraphError(f"unknown witness {name!r}")
-        host = p.graph
-        ok = invariants.verify_witness(host, w, kind)
+        return p.graph, w, "k_packing", 3
+    if args.g is None or args.h is None:
+        raise GraphError(f"{name} needs --g and --h")
+    g = parse_graph6(args.g)
+    h = parse_graph6(args.h)
+    if name == "lex-im":
+        p, w = constructions.lex_im_witness(g, h)
+        kind = "induced_matching"
+    elif name == "lex-eop":
+        p, w = constructions.lex_eop_witness(g, h, args.variant)
+        kind = "eop"
+    elif name == "direct-im":
+        p, w = constructions.direct_im_witness(g, h)
+        kind = "induced_matching"
+    elif name == "direct-eop":
+        p, w = constructions.direct_eop_witness(g, h)
+        kind = "eop"
+    elif name == "box-eop":
+        p, w = constructions.box_eop_witness(g, h, args.product_kind)
+        kind = "eop"
+    elif name == "rooted-im":
+        if args.root is None:
+            raise GraphError("rooted-im needs --root")
+        p, w = constructions.rooted_im_witness(g, h, args.root)
+        kind = "induced_matching"
+    else:  # pragma: no cover - argparse restricts choices
+        raise GraphError(f"unknown witness {name!r}")
+    return p.graph, w, kind, None
 
+
+def _cmd_witness(args) -> int:
+    host, w, kind, k = _witness_instance(args)
+    ok = invariants.verify_witness(host, w, kind, k)
     print("graph:", write_graph6(host))
     print("size:", len(w))
-    if kind == "vertices":
-        print("witness:", " ".join(map(str, w)))
-    else:
-        print("witness:", " ".join(f"{u}-{v}" for u, v in (host.edges[i] for i in w)))
+    print("witness:", _format_witness(host, w, kind in invariants.EDGE_KINDS))
     print("VALID" if ok else "INVALID")
     return EXIT_OK if ok else EXIT_FAILURES
 

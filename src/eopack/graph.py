@@ -165,29 +165,34 @@ def _graph_from_bits(n: int, packed: int) -> Graph:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 string (optional ``>>graph6<<`` header tolerated)."""
-    s = text.strip()
-    if s.startswith(_G6_HEADER):
-        s = s[len(_G6_HEADER):]
+    """Decode one graph6 string (optional ``>>graph6<<`` header tolerated).
+
+    Only spaces, tabs, carriage returns and newlines around it are ignored;
+    an error names its byte as an offset into ``text`` itself.
+    """
+    s = text.rstrip(" \t\r\n")
+    start = len(s) - len(s.lstrip(" \t\r\n"))
+    if s.startswith(_G6_HEADER, start):
+        start += len(_G6_HEADER)
     try:
         data = s.encode("ascii")
     except UnicodeEncodeError as exc:
         raise GraphError(f"non-ASCII character at byte {exc.start}") from None
-    if not data:
+    if len(data) == start:
         raise GraphError("empty graph6 string")
 
-    def six_bits(start: int, stop: int) -> str:
-        """``data[start:stop]`` as a "0"/"1" string, six bits per character."""
-        for k in range(start, stop):
+    def six_bits(lo: int, hi: int) -> str:
+        """``data[lo:hi]`` as a "0"/"1" string, six bits per character."""
+        for k in range(lo, hi):
             if not 63 <= data[k] <= 126:
                 raise GraphError(f"out-of-range character at byte {k}")
-        return "".join(format(c - 63, "06b") for c in data[start:stop])
+        return "".join(format(c - 63, "06b") for c in data[lo:hi])
 
-    marks = 2 if data.startswith(b"~~") else 1 if data.startswith(b"~") else 0
-    pos = marks + _G6_ORDER_FIELDS[marks][1]
+    marks = 2 if data.startswith(b"~~", start) else 1 if data.startswith(b"~", start) else 0
+    pos = start + marks + _G6_ORDER_FIELDS[marks][1]
     if len(data) < pos:
         raise GraphError(f"truncated length field at byte {len(data)}")
-    n = int(six_bits(marks, pos), 2)
+    n = int(six_bits(start + marks, pos), 2)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(data) - pos < nbytes:
@@ -218,12 +223,12 @@ def write_graph6(g: Graph) -> str:
 def iter_graph6(text: str) -> Iterator[Graph]:
     """Parse a newline-separated multi-graph file body.
 
-    A malformed line raises :class:`GraphError` prefixed with its 1-based
-    line number.
+    Blank lines are skipped.  A malformed line raises :class:`GraphError`
+    prefixed with its 1-based line number; its byte offset counts from the
+    start of the line.
     """
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if line:
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if line.strip(" \t\r\n"):
             try:
                 g = parse_graph6(line)
             except GraphError as exc:

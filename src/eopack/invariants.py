@@ -1,8 +1,9 @@
 """Exact packing invariants via conflict graphs and one branch-and-bound core.
 
-Both edge invariants (induced matching number, edge open packing number)
-reduce to maximum independent set on a conflict graph over edge indices, so a
-single exact solver backs every invariant here.  The solver is deterministic:
+Edge invariants (induced matching, edge open packing) and vertex packings
+(open, 2-, 3-packing) reduce to maximum independent set on a conflict graph
+whose rows one neighbourhood step, :func:`_reach`, builds, so a single
+exact solver backs every invariant here.  The solver is deterministic:
 it starts from a min-degree greedy incumbent, branches on the unresolved
 vertex of maximum degree (ties to the lowest index), explores the include
 branch first, and prunes with a greedy clique-cover bound that stops as soon
@@ -26,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .graph import Graph, _bfs_dist, automorphism_generators, bits, distances, orbit_masks
+from .graph import Graph, _bfs_dist, automorphism_generators, bits, orbit_masks
 
 DEFAULT_MAX_ITEMS = 250
 DEFAULT_MAX_VERTICES = 64
@@ -136,13 +137,25 @@ def _im_conflict(g: Graph, e1, e2) -> bool:
     return False
 
 
+def _reach(adj: Sequence[int], rows: Sequence[int]) -> list:
+    """One neighbourhood step: row v is the OR of ``rows[u]`` over neighbours u of v."""
+    out = []
+    for a in adj:
+        row = 0
+        for u in bits(a):
+            row |= rows[u]
+        out.append(row)
+    return out
+
+
 def build_conflict_graph(g: Graph, kind: str) -> ConflictGraph:
     """Conflict graph of ``kind`` over the edges of g.
 
-    Rows are ORs of per-vertex edge-incidence bitsets; the pairwise
-    predicates ``_im_conflict`` / ``_eop_conflict`` stay the literal
-    definitions that :func:`verify_witness` and the tests use.  With
-    ``reach[v]`` the edges touching N[v], edge ab conflicts:
+    Rows are ORs of per-vertex edge-incidence bitsets, gathered by
+    :func:`_reach` like every conflict row; the pairwise predicates
+    ``_im_conflict`` / ``_eop_conflict`` stay the literal definitions that
+    :func:`verify_witness` and the tests use.  With ``reach[v]`` the edges
+    touching N[v], edge ab conflicts:
 
     - for ``induced_matching``, with every other edge in reach[a] | reach[b];
     - for ``eop``, with every edge at a neighbor y of an endpoint x (y not
@@ -156,12 +169,7 @@ def build_conflict_graph(g: Graph, kind: str) -> ConflictGraph:
     for i, (u, v) in enumerate(g.edges):
         inc[u] |= 1 << i
         inc[v] |= 1 << i
-    reach = []
-    for v in range(g.n):
-        row = 0
-        for u in bits(adj[v]):
-            row |= inc[u]
-        reach.append(row)
+    reach = _reach(adj, inc)
     conf = []
     if kind == "induced_matching":
         for i, (a, b) in enumerate(g.edges):
@@ -303,12 +311,13 @@ def _check_cap(count: int, cap: int, unit: str) -> None:
 def _item_orbits(g: Graph, edge_items: bool) -> list:
     """Non-singleton item orbits under automorphisms of g, as masks by least item.
 
-    Each generator of :func:`automorphism_generators` is lifted to the items:
-    a vertex item maps as its vertex, an edge item uv to the edge p(u)p(v).
-    Every conflict graph here is defined by the structure of g alone, so a
-    lifted automorphism of g is an automorphism of the conflict graph.
+    Each generator of :func:`automorphism_generators` (cached per graph) is
+    lifted to the items: a vertex item maps as its vertex, an edge item uv
+    to the edge p(u)p(v).  Every conflict graph here is defined by the
+    structure of g alone, so a lifted automorphism of g is an automorphism
+    of the conflict graph.
     """
-    gens = automorphism_generators(g)
+    gens = _cached("aut", g, lambda: automorphism_generators(g), None)
     if edge_items:
         index = g.edge_index
         gens = [[index[(min(p[u], p[v]), max(p[u], p[v]))] for u, v in g.edges] for p in gens]
@@ -338,20 +347,9 @@ def max_independent_set(
     return _solve("mis", count, adj, g, edge_items)
 
 
-def _vertex_conflicts(g: Graph, pred) -> list:
-    """Rows of the graph on V(g) joining each pair u < v with ``pred(u, v)``."""
-    conf = [0] * g.n
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if pred(u, v):
-                conf[u] |= 1 << v
-                conf[v] |= 1 << u
-    return conf
-
-
-# value cache keyed by (invariant, order, edge list); results are immutable
-# and solves are deterministic, so concurrent writers can only insert
-# identical entries
+# value cache keyed by (invariant or "aut", order, edge list); entries are
+# never mutated and solves are deterministic, so concurrent writers can only
+# insert identical entries
 _CACHE: dict = {}
 
 
@@ -407,17 +405,19 @@ def beta(g: Graph, max_items: Optional[int] = None) -> InvariantResult:
     return InvariantResult("beta", g.n - a.value, cover, a.nodes)
 
 
-def rho_o(g: Graph, max_items: Optional[int] = None) -> InvariantResult:
-    """Open packing number: max vertices with pairwise disjoint open neighborhoods."""
-
+def _vertex_packing(name: str, g: Graph, rows, max_items: Optional[int]):
+    # MIS over V(g), v conflicting with rows()[v] - v, cached under ``name``
     def solve():
         _check_cap(g.n, _vertex_cap(max_items), "vertices")
-        adj = g.adj
-        return _solve(
-            "rho_o", g.n, _vertex_conflicts(g, lambda u, v: adj[u] & adj[v]), g, False
-        )
+        conf = [row & ~(1 << v) for v, row in enumerate(rows())]
+        return _solve(name, g.n, conf, g, False)
 
-    return _cached("rho_o", g, solve, max_items)
+    return _cached(name, g, solve, max_items)
+
+
+def rho_o(g: Graph, max_items: Optional[int] = None) -> InvariantResult:
+    """Open packing number: max vertices with pairwise disjoint open neighborhoods."""
+    return _vertex_packing("rho_o", g, lambda: _reach(g.adj, g.adj), max_items)
 
 
 def distance_packing(g: Graph, k: int, max_items: Optional[int] = None) -> InvariantResult:
@@ -425,14 +425,14 @@ def distance_packing(g: Graph, k: int, max_items: Optional[int] = None) -> Invar
     if k not in (2, 3):
         raise ValueError("distance packing supports k in {2, 3}")
 
-    def solve():
-        _check_cap(g.n, _vertex_cap(max_items), "vertices")
-        dist = distances(g)
-        return _solve(
-            f"rho_{k}", g.n, _vertex_conflicts(g, lambda u, v: dist[u][v] <= k), g, False
-        )
+    def ball():
+        # radius-k balls: closed neighbourhoods, then k - 1 steps
+        rows = [row | (1 << v) for v, row in enumerate(g.adj)]
+        for _ in range(k - 1):
+            rows = _reach(g.adj, rows)
+        return rows
 
-    return _cached(f"rho_{k}", g, solve, max_items)
+    return _vertex_packing(f"rho_{k}", g, ball, max_items)
 
 
 def gamma(g: Graph, max_items: Optional[int] = None) -> InvariantResult:

@@ -19,11 +19,13 @@ from eopack.graph import (
     orbit_masks,
     random_graph,
 )
+from eopack import invariants
 from eopack.invariants import (
     _item_orbits,
     _search,
-    _vertex_conflicts,
     build_conflict_graph,
+    clear_cache,
+    nu_i,
     rho_eo,
     verify_witness,
 )
@@ -192,7 +194,8 @@ def instance(g, name):
         return c.item_count, c.conflicts, True, kind, None
     k = int(name[-1])
     dist = distances(g)
-    return g.n, _vertex_conflicts(g, lambda u, v: dist[u][v] <= k), False, "k_packing", k
+    rows = [sum(1 << v for v in range(g.n) if v != u and dist[u][v] <= k) for u in range(g.n)]
+    return g.n, rows, False, "k_packing", k
 
 
 def check_symmetric_root(g, name, want=None):
@@ -238,3 +241,18 @@ def test_symmetric_root_matches_plain_search_on_products(kind, g, h, name):
 def test_symmetric_root_node_ceiling_on_q6():
     # the plain search needed 499,863 nodes on natural labels
     assert rho_eo(hypercube(6), max_items=1000).nodes <= 40_000
+
+
+def test_automorphisms_are_found_once_per_graph(monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return automorphism_generators(g)
+
+    monkeypatch.setattr(invariants, "automorphism_generators", counting)
+    clear_cache()
+    q6 = hypercube(6)
+    assert nu_i(q6).value == 16
+    assert rho_eo(q6).value == 24
+    assert calls == [q6]

@@ -88,8 +88,12 @@ def test_nonzero_padding_rejected():
     [
         ("", "empty graph6 string"),
         ("B\u00e9", "non-ASCII character at byte 1"),
-        ("\x1fA", "truncated edge data at byte 1"),  # strip() removes \x1f
+        ("\x1fA", "out-of-range character at byte 0"),
+        ("\u2003Bw", "non-ASCII character at byte 0"),
         ("B\x14", "out-of-range character at byte 1"),
+        # offsets count the header and leading whitespace of the input
+        (">>graph6<<B\x14", "out-of-range character at byte 11"),
+        ("  B\x14", "out-of-range character at byte 3"),
         ("~", "truncated length field at byte 1"),
         ("~A", "truncated length field at byte 2"),
         ("~~AB", "truncated length field at byte 4"),
@@ -118,5 +122,16 @@ def test_hypercube_10_round_trip():
 
 
 def test_multi_graph_file():
-    gs = list(iter_graph6("Bw\n\nD?{\n"))
-    assert [g.n for g in gs] == [3, 5]
+    for text in ("Bw\n\nD?{\n", "Bw\r\n \t\r\nD?{\r\n"):
+        assert [g.n for g in iter_graph6(text)] == [3, 5]
+
+
+def test_spaces_and_line_ends_around_a_string_are_ignored():
+    k3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+    assert parse_graph6("Bw\r\n") == parse_graph6(" Bw ") == parse_graph6("\t>>graph6<<Bw") == k3
+
+
+def test_file_errors_count_bytes_from_the_line_start():
+    with pytest.raises(GraphError) as info:
+        list(iter_graph6("Bw\n  B\x14\n"))
+    assert str(info.value) == "line 2: out-of-range character at byte 3"

@@ -1,4 +1,5 @@
 import itertools
+import random
 import sys
 
 import pytest
@@ -17,8 +18,10 @@ from eopack.graph import (
     spider,
     star,
 )
+from eopack import invariants
 from eopack.invariants import (
     CapacityError,
+    InvariantResult,
     _eop_conflict,
     _greedy_size,
     _im_conflict,
@@ -92,6 +95,45 @@ def test_conflict_builder_matches_pairwise_definition():
             cg = build_conflict_graph(g, kind)
             assert cg.items == g.edges
             assert cg.conflicts == pairwise_conflicts(g, kind), (g.edges, kind)
+
+
+def vertex_conflicts(g, name):
+    # the literal per-pair definitions: a shared neighbour, or distance <= k
+    d = distances(g)
+
+    def joined(u, v):
+        return g.adj[u] & g.adj[v] if name == "rho_o" else d[u][v] <= int(name[-1])
+
+    return [sum(1 << v for v in range(g.n) if v != u and joined(u, v)) for u in range(g.n)]
+
+
+def test_vertex_packing_rows_match_pairwise_definition(monkeypatch):
+    rows = {}
+
+    def capture(name, count, adj, g, edge_items):
+        rows[name] = list(adj)
+        return InvariantResult(name, 0, (), 0)
+
+    monkeypatch.setattr(invariants, "_solve", capture)
+    corpus = [g for n in range(1, 7) for g in enumerate_graphs(n, dedup=True)]
+    corpus += [
+        random_graph(n, p, seed=8000 + n)
+        for n in range(2, 30)
+        for p in ("1/12", "1/6", "1/3", "2/3")
+    ]
+    for d in range(1, 8):
+        perm = list(range(1 << d))
+        random.Random(d).shuffle(perm)
+        corpus.append(Graph.from_edges(1 << d, [(perm[u], perm[v]) for u, v in hypercube(d).edges]))
+    for g in corpus:
+        # an explicit cap bypasses the value cache, so every call builds rows
+        rho_o(g, max_items=g.n)
+        distance_packing(g, 2, max_items=g.n)
+        distance_packing(g, 3, max_items=g.n)
+        assert sorted(rows) == ["rho_2", "rho_3", "rho_o"]
+        for name in rows:
+            assert rows[name] == vertex_conflicts(g, name), (g.edges, name)
+        rows.clear()
 
 
 # ---------------------------------------------------------------------------
