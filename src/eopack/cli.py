@@ -58,7 +58,7 @@ def _cmd_compute(args) -> int:
         graphs = [parse_graph6(args.g6)]
     else:
         try:
-            with open(args.file) as fh:
+            with open(args.file, newline="") as fh:
                 text = fh.read()
         except UnicodeDecodeError as exc:
             raise GraphError(f"{args.file} is not a graph6 text file: {exc}") from None

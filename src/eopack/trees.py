@@ -8,6 +8,14 @@ Together with P_1 and P_2 these are exactly the trees whose induced matching
 number equals their edge open packing number, which is what the harness
 checks against the exact solvers.
 
+Membership forces every role, so recognition needs no search.  A tree leaf
+is always a spider leaf, so its neighbour is a support and that support's
+other neighbours are centers; this finds every center, and each other vertex
+pairs with its one non-center neighbour into a leg.  Only a leg's center is
+free: a support of a tree leaf takes its least center, a center short of two
+such legs takes one over by an augmenting path, and any other leg takes its
+end of smaller (degree, vertex) as support, with that vertex's least center.
+
 One verifier, :func:`verify_spider_partition`, decides membership: the
 recognizer returns a certificate only once it verifies, and the generator
 raises the verifier's first fault for an invalid wiring.
@@ -15,7 +23,6 @@ raises the verifier's first fault for an invalid wiring.
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -185,120 +192,78 @@ def nu_i_tree(t: Graph) -> InvariantResult:
 # ---------------------------------------------------------------------------
 
 def recognize_family_f(t: Graph) -> Optional[SpiderPartition]:
-    """Certificate-producing membership test.
+    """Certificate-producing membership test, from the roles membership forces.
 
-    Backtracks over role assignments (center / support / leaf), visiting
-    vertices by ascending degree so tree leaves force their legs early.
-    Edges between assigned vertices are classified incrementally and an edge
-    that is neither a spider edge nor a center-touching extra edge fails the
-    branch at once; a complete assignment counts only if its certificate
-    verifies.
+    In a member every tree leaf is a spider leaf, so its neighbour is a
+    support whose other neighbours are all centers, and every center owns
+    two such supports: this finds every center.  Every other vertex must
+    then have exactly one non-center neighbour; these pairs are the legs.
+    Tie-breaks, which fix the certificate returned:
+
+    - each support of a tree leaf joins its least adjacent center;
+    - centers are then taken in ascending order, and one left with fewer
+      than two such legs takes one over by a shortest augmenting path
+      (breadth first, neighbours ascending) from the first center found
+      with three or more; if there is none the tree is not a member;
+    - every other leg takes as support its end of smaller (degree, vertex),
+      with that vertex's least center.
+
+    Spiders are listed by ascending center and legs by ascending support.
+    The certificate is returned only if :func:`verify_spider_partition`
+    accepts it, so soundness rests on the verifier alone.
     """
     if not is_tree(t):
         raise GraphError("input is not a tree")
     n = t.n
     if n <= 2:
         return SpiderPartition((), (), trivial=True)
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 100))
+    # support -> leaf; a support of two tree leaves makes one of them a
+    # center, which cannot own two legs
+    leaf = {t.neighbors(v)[0]: v for v in range(n) if t.degree(v) == 1}
+    centers = {c for s, l in leaf.items() for c in t.neighbors(s) if c != l}
+    partner = {}
+    for v in range(n):
+        if v not in centers:
+            others = [w for w in t.neighbors(v) if w not in centers]
+            if len(others) != 1:
+                return None
+            partner[v] = others[0]
 
-    role = [None] * n
-    cen = [-1] * n  # supports: owning center
-    lf = [-1] * n  # supports: owned leaf
-    order = sorted(range(n), key=lambda v: (t.degree(v), v))
+    cen = {s: min(c for c in t.neighbors(s) if c != l) for s, l in leaf.items()}
+    count = dict.fromkeys(centers, 0)
+    for c in cen.values():
+        count[c] += 1
+    for d in sorted(centers):
+        while count[d] < 2:
+            via = {d: None}  # center -> (center it hands a support to, support)
+            queue = [d]
+            for c in queue:
+                if count[c] > 2:
+                    break
+                for s in t.neighbors(c):
+                    if s in cen and cen[s] not in via:
+                        via[cen[s]] = (c, s)
+                        queue.append(cen[s])
+            else:
+                return None
+            count[c] -= 1
+            count[d] += 1
+            while c != d:
+                c, s = via[c]
+                cen[s] = c
 
-    def edge_ok(u: int, v: int) -> bool:
-        ru, rv = role[u], role[v]
-        if ru == "c" and rv == "s" and cen[v] == u:
-            return True
-        if rv == "c" and ru == "s" and cen[u] == v:
-            return True
-        if ru == "s" and rv == "l" and lf[u] == v:
-            return True
-        if rv == "s" and ru == "l" and lf[v] == u:
-            return True
-        return ru == "c" or rv == "c"
-
-    def edges_ok(u: int) -> bool:
-        return all(
-            role[w] is None or edge_ok(u, w) for w in t.neighbors(u)
-        )
-
-    def center_feasible(c: int) -> bool:
-        pool = 0
-        for w in t.neighbors(c):
-            if role[w] is None or (role[w] == "s" and cen[w] == c):
-                pool += 1
-        return pool >= 2
-
-    def finalize() -> Optional[SpiderPartition]:
-        # spiders by ascending center, legs by ascending support
-        spiders = tuple(
-            (v, tuple((s, lf[s]) for s in range(n) if cen[s] == v))
-            for v in range(n)
-            if role[v] == "c"
-        )
-        spider_edges = _spider_edges(spiders)
-        extras = tuple(e for e in t.edges if e not in spider_edges)
-        part = SpiderPartition(spiders, extras)
-        return None if _partition_fault(t, part) else part
-
-    def leg(s: int, c: int, l: int, idx: int) -> Optional[SpiderPartition]:
-        # assign support s with center c and leaf l, recurse, then undo
-        if role[c] in ("s", "l"):
-            return None
-        new_center = role[c] is None
-        if new_center and t.degree(c) < 2:
-            return None
-        role[s], cen[s], lf[s] = "s", c, l
-        role[l] = "l"
-        if new_center:
-            role[c] = "c"
-        res = None
-        ok = edges_ok(s) and edges_ok(l)
-        if ok and new_center:
-            ok = edges_ok(c) and center_feasible(c)
-        if ok:
-            res = solve(idx + 1)
-        role[s], cen[s], lf[s] = None, -1, -1
-        role[l] = None
-        if new_center:
-            role[c] = None
-        return res
-
-    def solve(idx: int) -> Optional[SpiderPartition]:
-        while idx < n and role[order[idx]] is not None:
-            idx += 1
-        if idx == n:
-            return finalize()
-        u = order[idx]
-        if t.degree(u) >= 2:
-            # center
-            role[u] = "c"
-            if center_feasible(u) and edges_ok(u):
-                res = solve(idx + 1)
-                if res is not None:
-                    return res
-            role[u] = None
-            # support with chosen center and leaf
-            nbrs = t.neighbors(u)
-            for c in nbrs:
-                for l in nbrs:
-                    if l != c and role[l] is None:
-                        res = leg(u, c, l, idx)
-                        if res is not None:
-                            return res
-        # leaf with chosen support and its center
-        for s in t.neighbors(u):
-            if role[s] is not None or t.degree(s) < 2:
-                continue
-            for c in t.neighbors(s):
-                if c != u:
-                    res = leg(s, c, u, idx)
-                    if res is not None:
-                        return res
-        return None
-
-    return solve(0)
+    for v, w in partner.items():
+        if (t.degree(v), v) < (t.degree(w), w) and v not in leaf and w not in leaf:
+            cen[v] = min(c for c in t.neighbors(v) if c in centers)
+            leaf[v] = w
+    legs = {c: [] for c in sorted(centers)}
+    for s in sorted(cen):
+        legs[cen[s]].append((s, leaf[s]))
+    spiders = tuple((c, tuple(ls)) for c, ls in legs.items())
+    spider_edges = _spider_edges(spiders)
+    extras = tuple(e for e in t.edges if e not in spider_edges)
+    part = SpiderPartition(spiders, extras)
+    return None if _partition_fault(t, part) else part
 
 
 # ---------------------------------------------------------------------------

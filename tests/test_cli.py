@@ -322,6 +322,22 @@ def test_compute_file_error_names_file_and_line(capsys, tmp_path):
     assert code == 2 and err == "error: out-of-range character at byte 0\n"
 
 
+def test_compute_file_lone_carriage_return_stays_on_its_line(capsys, tmp_path):
+    # a lone "\r" is no line break: the error names line 1, as the raw text does
+    bad = tmp_path / "cr.g6"
+    bad.write_bytes(b"Bw\rB\x14\n")
+    code, out, err = run_cli(capsys, "compute", "--invariant", "alpha", "--file", str(bad))
+    assert code == 2 and out == ""
+    assert err == f"error: {bad}: line 1: trailing bytes at byte 2\n"
+
+
+def test_compute_file_with_crlf_lines(capsys, tmp_path):
+    crlf = tmp_path / "crlf.g6"
+    crlf.write_bytes(b"Bw\r\nBw\n")
+    code, out, _ = run_cli(capsys, "compute", "--invariant", "alpha", "--file", str(crlf))
+    assert code == 0 and out.splitlines() == ["1", "1"]
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

@@ -156,6 +156,91 @@ def test_recognizer_certificates_are_pinned():
     )
 
 
+def test_recognizer_certificates_are_pinned_13_14():
+    # as above, over the 4,460 unlabeled trees on 13 and 14 vertices
+    digest = hashlib.sha256()
+    count = 0
+    for n in (13, 14):
+        for t in enumerate_trees(n, dedup=True):
+            digest.update(repr(recognize_family_f(t)).encode())
+            count += 1
+    assert count == 4460
+    assert digest.hexdigest() == (
+        "f824219e50a47c3cdd44a077c57acf4b3d0010a1b8f9b4a9e2c6cfde1ac10142"
+    )
+
+
+def test_recognizer_augmenting_tie_break():
+    # centers 0 and 1 each own three supports of tree leaves; center 2 owns
+    # one (7) and is adjacent to supports 3 (of 0) and 5 (of 1), so it takes
+    # over the least of them, 3, from center 0
+    edges = [(0, 3), (2, 3), (3, 4), (1, 5), (2, 5), (5, 6), (2, 7), (7, 8)]
+    edges += [(0, 9), (9, 10), (0, 11), (11, 12)]
+    edges += [(1, 13), (13, 14), (1, 15), (15, 16)]
+    t = Graph.from_edges(17, edges)
+    assert recognize_family_f(t) == SpiderPartition(
+        (
+            (0, ((9, 10), (11, 12))),
+            (1, ((5, 6), (13, 14), (15, 16))),
+            (2, ((3, 4), (7, 8))),
+        ),
+        ((0, 3), (2, 5)),
+    )
+
+
+def test_recognizer_leg_support_is_the_end_of_smaller_degree():
+    # legs 29-30 and 19-20 touch no tree leaf; 30 and 20 have the smaller
+    # degree, so they are the supports, each with its least center
+    tree, _ = generate_family_f([3] * 12, seed=2)
+    part = recognize_family_f(tree)
+    center_of = {leg: center for center, legs in part.spiders for leg in legs}
+    assert center_of[(30, 29)] == 7 and center_of[(20, 19)] == 77
+    assert verify_spider_partition(tree, part)
+
+
+@pytest.mark.parametrize("spiders", [40, 1000])
+def test_recognizer_certifies_large_members(spiders):
+    tree, _ = generate_family_f([2] * spiders, seed=5)
+    part = recognize_family_f(tree)
+    assert part is not None and verify_spider_partition(tree, part)
+
+
+def _near_misses(tree):
+    # a leaf hung off a spider leaf, a second tree leaf on a support, and a
+    # new 2-leg spider wired to center 0 through one of its own leaves
+    n = tree.n
+    edges = list(tree.edges)
+    spider = [(n, n + 1), (n + 1, n + 2), (n, n + 3), (n + 3, n + 4), (n + 2, 0)]
+    return [
+        Graph.from_edges(n + 1, edges + [(2, n)]),
+        Graph.from_edges(n + 1, edges + [(1, n)]),
+        Graph.from_edges(n + 5, edges + spider),
+    ]
+
+
+def test_recognizer_rejects_near_misses():
+    small, _ = generate_family_f([2, 2], wiring=[(0, 5)])
+    for t in _near_misses(small):
+        assert nu_i(t).value != rho_eo(t).value
+        assert recognize_family_f(t) is None
+    large, _ = generate_family_f([2] * 40, seed=5)
+    for t in _near_misses(large):
+        assert recognize_family_f(t) is None
+
+
+def test_recognizer_agrees_with_solvers_on_larger_random_trees():
+    from eopack.graph import SplitMix64, _prufer_tree
+
+    rng = SplitMix64(11)
+    for _ in range(40):
+        n = 15 + rng.below(46)
+        t = _prufer_tree([rng.below(n) for _ in range(n - 2)], n)
+        part = recognize_family_f(t)
+        assert (part is not None) == (nu_i(t).value == rho_eo(t).value)
+        if part is not None:
+            assert verify_spider_partition(t, part)
+
+
 def _three_spiders_with_triangle():
     # three 2-leg spiders centred at 0, 5 and 10; the extra edges (0,5) and
     # (0,6) close the triangle 0-5-6 and leave the spider at 10 detached
