@@ -90,9 +90,6 @@ class Graph:
     def min_degree(self) -> int:
         return min((self.degree(v) for v in range(self.n)), default=0)
 
-    def max_degree(self) -> int:
-        return max((self.degree(v) for v in range(self.n)), default=0)
-
     def without_edges(self, drop) -> "Graph":
         """Copy with the given edges removed; edges absent from the graph are an error."""
         dropset = {(min(u, v), max(u, v)) for u, v in drop}

@@ -8,11 +8,12 @@ apart from wall-clock timing.
 
 A check is declared once, where its runner is defined: the
 ``@_check(id, citation, corpus, budget_s)`` decorator appends a :class:`Check`
-to the registry, so ``list_checks()`` follows declaration order.  Runners loop
-over their corpora through ``run.each(...)`` and call ``run.check_budget()``
-between straight-line steps.  Once the deadline has passed, that gate ends the
-whole runner, not just the current loop, and :func:`run_check` reports the
-partial run as ``skipped``: a check never passes on a partial run.
+to the registry, so ``list_checks()`` follows declaration order.  A runner is a
+generator that yields one ``(inputs, expected, actual)`` record per instance.
+:func:`run_check` drives it and is the one place that reads the clock, counts
+instances and builds failure entries.  It checks the deadline before every
+``next()``, so no runner starts an instance once its budget is spent, and the
+partial run is reported as ``skipped``: a check never passes on a partial run.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .constructions import (
     bipartite_eop_witness,
@@ -76,59 +77,17 @@ class Check:
     runner: Callable
 
 
-class _OutOfBudget(Exception):
-    """Raised by :meth:`CheckRun.check_budget` to end a runner at its deadline."""
-
-
+@dataclass(frozen=True)
 class CheckRun:
-    """Collector handed to check runners; enforces the wall-clock budget."""
+    """Settings handed to check runners: the seed and the corpus size cap."""
 
-    def __init__(self, seed: int, deadline: float, max_n: Optional[int] = None):
-        self.seed = seed
-        self.deadline = deadline
-        self.max_n = max_n
-        self.instances_run = 0
-        self.failures: list = []
-        self.timed_out = False
-        self.capacity_skips = 0
+    seed: int
+    max_n: Optional[int] = None
 
     def limit(self, default: int) -> int:
         if self.max_n is None:
             return default
         return min(default, self.max_n)
-
-    def out_of_budget(self) -> bool:
-        if not self.timed_out and time.monotonic() > self.deadline:
-            self.timed_out = True
-        return self.timed_out
-
-    def check_budget(self) -> None:
-        """End the runner if the deadline has passed."""
-        if self.out_of_budget():
-            raise _OutOfBudget
-
-    def each(self, items: Iterable) -> Iterator:
-        """Yield the items, checking the budget before each one."""
-        for item in items:
-            self.check_budget()
-            yield item
-
-    def record(self, inputs, expected, actual) -> None:
-        self.instances_run += 1
-        if _jsonable(expected) != _jsonable(actual):
-            self.failures.append(
-                {
-                    "inputs_graph6": [
-                        write_graph6(x) if isinstance(x, Graph) else str(x)
-                        for x in inputs
-                    ],
-                    "expected": _jsonable(expected),
-                    "actual": _jsonable(actual),
-                }
-            )
-
-    def skip_capacity(self) -> None:
-        self.capacity_skips += 1
 
 
 @dataclass
@@ -141,6 +100,13 @@ class CheckReport:
     status: str
     capacity_skips: int = field(default=0, compare=False)
     error: Optional[str] = None
+
+
+def _within(lo, val, hi=None) -> str:
+    """``"holds"`` when lo <= val (and val <= hi, if given), else the miss."""
+    if lo <= val and (hi is None or val <= hi):
+        return "holds"
+    return f"{val} outside [{lo},{hi}]"
 
 
 def _jsonable(x):
@@ -186,7 +152,7 @@ def _trees_upto(nmax: int) -> tuple:
 
 def _pairs(run: CheckRun, nmax: int = 4, ordered: bool = True) -> Iterator:
     gs = _graphs_upto(run.limit(nmax))
-    return run.each((g, h) for i, g in enumerate(gs) for h in gs[0 if ordered else i:])
+    return ((g, h) for i, g in enumerate(gs) for h in gs[0 if ordered else i:])
 
 
 def _partitions_upto(total: int):
@@ -231,11 +197,11 @@ def _upper_sharp_g(ell: int) -> Graph:
     "paths P_1..P_20",
     30,
 )
-def _paths_formulas(run: CheckRun) -> None:
-    for n in run.each(range(1, run.limit(20) + 1)):
+def _paths_formulas(run: CheckRun) -> Iterator:
+    for n in range(1, run.limit(20) + 1):
         p = path(n)
         want_rho = (n + 1) // 2 if n % 4 == 3 else n // 2
-        run.record([p], ((n + 1) // 3, want_rho), (nu_i(p).value, rho_eo(p).value))
+        yield [p], ((n + 1) // 3, want_rho), (nu_i(p).value, rho_eo(p).value)
 
 
 @_check(
@@ -244,10 +210,10 @@ def _paths_formulas(run: CheckRun) -> None:
     "spiders k = 2..5",
     30,
 )
-def _spider_equality(run: CheckRun) -> None:
-    for k in run.each(range(2, 6)):
+def _spider_equality(run: CheckRun) -> Iterator:
+    for k in range(2, 6):
         s = spider(k)
-        run.record([s], (k, k), (nu_i(s).value, rho_eo(s).value))
+        yield [s], (k, k), (nu_i(s).value, rho_eo(s).value)
 
 
 @_check(
@@ -257,13 +223,13 @@ def _spider_equality(run: CheckRun) -> None:
     "50 seeded assemblies with at most 22 edges",
     120,
 )
-def _family_f_value_uniqueness(run: CheckRun) -> None:
+def _family_f_value_uniqueness(run: CheckRun) -> Iterator:
     rng = SplitMix64(run.seed * 2 + 1)
-    for ks in run.each(islice(_assembly_leg_counts(rng), 50)):
+    for ks in islice(_assembly_leg_counts(rng), 50):
         tree, cert = generate_family_f(ks, seed=rng.next64())
         optima = enumerate_optimal(build_conflict_graph(tree, "induced_matching"))
         pendant = tuple(sorted(tree.edge_index[e] for e in cert.pendant_edges()))
-        run.record(
+        yield (
             [tree],
             (sum(ks), 1, True),
             (nu_i(tree).value, len(optima), optima[0] == pendant if optima else False),
@@ -276,13 +242,13 @@ def _family_f_value_uniqueness(run: CheckRun) -> None:
     "all unlabeled trees on at most 9 vertices",
     120,
 )
-def _trees_iff_family_f(run: CheckRun) -> None:
-    for t in run.each(_trees_upto(run.limit(9))):
+def _trees_iff_family_f(run: CheckRun) -> Iterator:
+    for t in _trees_upto(run.limit(9)):
         part = recognize_family_f(t)
         member = part is not None
         certified = part is None or verify_spider_partition(t, part)
         equal = nu_i(t).value == rho_eo(t).value
-        run.record([t], (equal, True), (member, certified))
+        yield [t], (equal, True), (member, certified)
 
 
 @_check(
@@ -292,12 +258,12 @@ def _trees_iff_family_f(run: CheckRun) -> None:
     "all subdivided stars on at most 14 vertices",
     60,
 )
-def _subdivided_star_lemma(run: CheckRun) -> None:
-    for lens in run.each(_partitions_upto(run.limit(13))):
+def _subdivided_star_lemma(run: CheckRun) -> Iterator:
+    for lens in _partitions_upto(run.limit(13)):
         g = subdivided_star(list(lens))
         k, total = len(lens), sum(lens)
         want = (k <= 2 and total in (1, 4)) or (k >= 3 and all(l == 2 for l in lens))
-        run.record(
+        yield (
             ["lens=" + ",".join(map(str, lens)), g],
             want,
             nu_i(g).value == rho_eo(g).value,
@@ -311,13 +277,13 @@ def _subdivided_star_lemma(run: CheckRun) -> None:
     "ordered pairs of unlabeled graphs, at most 4 vertices per factor",
     600,
 )
-def _lex_nu_equality(run: CheckRun) -> None:
+def _lex_nu_equality(run: CheckRun) -> Iterator:
     # the product formula needs an edge in H: an edgeless H only blows up
     # every vertex of G, which leaves nu_I(G) unchanged
     for g, h in _pairs(run):
         p = lex(g, h)
         want = alpha(g).value * nu_i(h).value if h.m else nu_i(g).value
-        run.record([g, h], want, nu_i(p.graph).value)
+        yield [g, h], want, nu_i(p.graph).value
 
 
 @_check(
@@ -327,13 +293,12 @@ def _lex_nu_equality(run: CheckRun) -> None:
     "ordered pairs of unlabeled graphs, at most 4 vertices per factor",
     600,
 )
-def _lex_eop_bounds(run: CheckRun) -> None:
+def _lex_eop_bounds(run: CheckRun) -> Iterator:
     for g, h in _pairs(run):
         val = rho_eo(lex(g, h).graph).value
         lo = rho_eo(g).value * alpha(h).value
         hi = lo + rho_eo(h).value * (alpha(g).value - rho_eo(g).value)
-        ok = lo <= val <= hi
-        run.record([g, h], "bounds hold", "bounds hold" if ok else f"{val} outside [{lo},{hi}]")
+        yield [g, h], "holds", _within(lo, val, hi)
 
 
 @_check(
@@ -343,21 +308,21 @@ def _lex_eop_bounds(run: CheckRun) -> None:
     "ell in {2,3}, t in {0,1}, second factors P_3 and K_3",
     120,
 )
-def _lex_eop_sharpness(run: CheckRun) -> None:
+def _lex_eop_sharpness(run: CheckRun) -> Iterator:
     hs = [path(3), complete(3)]
     for ell in (2, 3):
         g_up = _upper_sharp_g(ell)
-        for h in run.each(hs):
+        for h in hs:
             val = rho_eo(lex(g_up, h).graph).value
             hi = rho_eo(g_up).value * alpha(h).value + rho_eo(h).value * (
                 alpha(g_up).value - rho_eo(g_up).value
             )
-            run.record([f"upper ell={ell}", g_up, h], hi, val)
+            yield [f"upper ell={ell}", g_up, h], hi, val
         for t in (0, 1):
             g_low = _wounded_spider(ell, t)
-            for h in run.each(hs):
+            for h in hs:
                 val = rho_eo(lex(g_low, h).graph).value
-                run.record(
+                yield (
                     [f"lower ell={ell} t={t}", g_low, h],
                     rho_eo(g_low).value * alpha(h).value,
                     val,
@@ -370,12 +335,12 @@ def _lex_eop_sharpness(run: CheckRun) -> None:
     "n = 1..3",
     60,
 )
-def _lex_nu_remark(run: CheckRun) -> None:
-    for n in run.each((1, 2, 3)):
+def _lex_nu_remark(run: CheckRun) -> Iterator:
+    for n in (1, 2, 3):
         g = lex(path(2), path(3 * n + 1)).graph
         val = nu_i(g).value
         trivial_bound = nu_i(path(2)).value * alpha(path(3 * n + 1)).value
-        run.record([f"n={n}"], (n, True), (val, val < trivial_bound))
+        yield [f"n={n}"], (n, True), (val, val < trivial_bound)
 
 
 @_check(
@@ -385,14 +350,13 @@ def _lex_nu_remark(run: CheckRun) -> None:
     "{(1,3),(1,4),(2,3)}",
     600,
 )
-def _direct_nu_bound(run: CheckRun) -> None:
+def _direct_nu_bound(run: CheckRun) -> Iterator:
     for g, h in _pairs(run, ordered=False):
         val = nu_i(product("direct", g, h).graph).value
-        bound = 2 * nu_i(g).value * nu_i(h).value
-        run.record([g, h], "holds", "holds" if val >= bound else f"{val} < {bound}")
-    for m, n in run.each(((1, 3), (1, 4), (2, 3))):
+        yield [g, h], "holds", _within(2 * nu_i(g).value * nu_i(h).value, val)
+    for m, n in ((1, 3), (1, 4), (2, 3)):
         p = product("direct", path(3 * m), complete(n)).graph
-        run.record([f"P_{3*m} x K_{n}"], 2 * m, nu_i(p).value)
+        yield [f"P_{3*m} x K_{n}"], 2 * m, nu_i(p).value
 
 
 @_check(
@@ -403,16 +367,15 @@ def _direct_nu_bound(run: CheckRun) -> None:
     "(5,3)",
     600,
 )
-def _direct_eop_bound(run: CheckRun) -> None:
+def _direct_eop_bound(run: CheckRun) -> Iterator:
     for g, h in _pairs(run, ordered=False):
         val = rho_eo(product("direct", g, h).graph).value
         b1 = rho_eo(g).value * h.min_degree() * rho_o(h).value
         b2 = rho_eo(h).value * g.min_degree() * rho_o(g).value
-        bound = max(b1, b2)
-        run.record([g, h], "holds", "holds" if val >= bound else f"{val} < {bound}")
-    for m, n in run.each(((3, 3), (4, 3), (4, 4), (5, 3))):
+        yield [g, h], "holds", _within(max(b1, b2), val)
+    for m, n in ((3, 3), (4, 3), (4, 4), (5, 3)):
         p = product("direct", complete(m), complete(n)).graph
-        run.record([f"K_{m} x K_{n}"], m - 1, rho_eo(p).value)
+        yield [f"K_{m} x K_{n}"], m - 1, rho_eo(p).value
 
 
 @_check(
@@ -422,13 +385,13 @@ def _direct_eop_bound(run: CheckRun) -> None:
     "n in {1,2}",
     120,
 )
-def _direct_eop_counterexample(run: CheckRun) -> None:
-    for n in run.each((1, 2)):
+def _direct_eop_counterexample(run: CheckRun) -> Iterator:
+    for n in (1, 2):
         lengths = 12 * n - 5
         p = product("direct", path(3), path(lengths)).graph
         val = rho_eo(p).value
         naive = 2 * rho_eo(path(3)).value * rho_eo(path(lengths)).value
-        run.record([f"n={n}"], (24 * n - 10, True), (val, val < naive))
+        yield [f"n={n}"], (24 * n - 10, True), (val, val < naive)
 
 
 @_check(
@@ -437,10 +400,9 @@ def _direct_eop_counterexample(run: CheckRun) -> None:
     "K_4 x K_4",
     60,
 )
-def _direct_nu_remark(run: CheckRun) -> None:
-    run.check_budget()
+def _direct_nu_remark(run: CheckRun) -> Iterator:
     p = product("direct", complete(4), complete(4)).graph
-    run.record(["K_4 x K_4"], 2, nu_i(p).value)
+    yield ["K_4 x K_4"], 2, nu_i(p).value
 
 
 @_check(
@@ -450,13 +412,13 @@ def _direct_nu_remark(run: CheckRun) -> None:
     "gadget chains r in {1,2}; K_5 vs C_5",
     60,
 )
-def _spanning_incomparability(run: CheckRun) -> None:
-    for r in run.each((1, 2)):
+def _spanning_incomparability(run: CheckRun) -> Iterator:
+    for r in (1, 2):
         g = figure1(r)
         h = g.without_edges(figure1_xy_edges(r))
-        run.record([g, h], (4 * r + 2, 3 * r + 2), (rho_eo(g).value, rho_eo(h).value))
+        yield [g, h], (4 * r + 2, 3 * r + 2), (rho_eo(g).value, rho_eo(h).value)
     g, h = complete(5), cycle(5)
-    run.record([g, h], (1, 2), (rho_eo(g).value, rho_eo(h).value))
+    yield [g, h], (1, 2), (rho_eo(g).value, rho_eo(h).value)
 
 
 @_check(
@@ -465,17 +427,12 @@ def _spanning_incomparability(run: CheckRun) -> None:
     "ordered pairs at most 4 vertices per factor",
     600,
 )
-def _lex_min_box(run: CheckRun) -> None:
+def _lex_min_box(run: CheckRun) -> Iterator:
     for g, h in _pairs(run):
         v_lex = rho_eo(lex(g, h).graph).value
         v_str = rho_eo(product("strong", g, h).graph).value
         v_box = rho_eo(product("cartesian", g, h).graph).value
-        ok = v_lex <= min(v_str, v_box)
-        run.record(
-            [g, h],
-            "holds",
-            "holds" if ok else f"lex {v_lex} > min({v_str},{v_box})",
-        )
+        yield [g, h], "holds", _within(0, v_lex, min(v_str, v_box))
 
 
 @_check(
@@ -486,22 +443,19 @@ def _lex_min_box(run: CheckRun) -> None:
     "ordered pairs at most 4 vertices per factor",
     600,
 )
-def _box_eop_bounds(run: CheckRun) -> None:
+def _box_eop_bounds(run: CheckRun) -> Iterator:
     for g, h in _pairs(run):
         bound = max(
             rho_eo(g).value * alpha(h).value, alpha(g).value * rho_eo(h).value
         )
         for kind in ("cartesian", "strong"):
             val = rho_eo(product(kind, g, h).graph).value
-            run.record(
-                [kind, g, h], "holds", "holds" if val >= bound else f"{val} < {bound}"
-            )
-    run.check_budget()
+            yield [kind, g, h], "holds", _within(bound, val)
     p = product("cartesian", star(2), star(3)).graph
-    run.record(["K_{1,2} box K_{1,3}"], 6, rho_eo(p).value)
-    for g in run.each(_graphs_upto(run.limit(4))):
+    yield ["K_{1,2} box K_{1,3}"], 6, rho_eo(p).value
+    for g in _graphs_upto(run.limit(4)):
         p = product("strong", g, complete(3)).graph
-        run.record(["strong with K_3", g], alpha(g).value, rho_eo(p).value)
+        yield ["strong with K_3", g], alpha(g).value, rho_eo(p).value
 
 
 @_check(
@@ -511,14 +465,14 @@ def _box_eop_bounds(run: CheckRun) -> None:
     "ordered pairs at most 4 vertices per factor",
     600,
 )
-def _nu_box_analogues(run: CheckRun) -> None:
+def _nu_box_analogues(run: CheckRun) -> Iterator:
     for g, h in _pairs(run):
         v_lex = nu_i(lex(g, h).graph).value
         v_str = nu_i(product("strong", g, h).graph).value
         v_box = nu_i(product("cartesian", g, h).graph).value
         bound = max(nu_i(g).value * alpha(h).value, alpha(g).value * nu_i(h).value)
         ok = v_lex <= min(v_str, v_box) and v_box >= bound and v_str >= bound
-        run.record(
+        yield (
             [g, h],
             "holds",
             "holds" if ok else f"lex={v_lex} box={v_box} strong={v_str} bound={bound}",
@@ -531,13 +485,13 @@ def _nu_box_analogues(run: CheckRun) -> None:
     "unlabeled G at most 4 vertices with K_3; at most 3 with K_4",
     300,
 )
-def _lex_strong_kn(run: CheckRun) -> None:
-    for g in run.each(_graphs_upto(run.limit(4))):
+def _lex_strong_kn(run: CheckRun) -> Iterator:
+    for g in _graphs_upto(run.limit(4)):
         p = lex(g, complete(3)).graph
-        run.record([g], alpha(g).value, rho_eo(p).value)
-    for g in run.each(_graphs_upto(run.limit(3))):
+        yield [g], alpha(g).value, rho_eo(p).value
+    for g in _graphs_upto(run.limit(3)):
         p = lex(g, complete(4)).graph
-        run.record([g], alpha(g).value, rho_eo(p).value)
+        yield [g], alpha(g).value, rho_eo(p).value
 
 
 @_check(
@@ -546,9 +500,9 @@ def _lex_strong_kn(run: CheckRun) -> None:
     "n = 2..5",
     120,
 )
-def _hypercube_nu(run: CheckRun) -> None:
-    for n in run.each(range(2, run.limit(5) + 1)):
-        run.record([f"Q_{n}"], 2 ** (n - 2), nu_i(hypercube(n)).value)
+def _hypercube_nu(run: CheckRun) -> Iterator:
+    for n in range(2, run.limit(5) + 1):
+        yield [f"Q_{n}"], 2 ** (n - 2), nu_i(hypercube(n)).value
 
 
 @_check(
@@ -559,10 +513,10 @@ def _hypercube_nu(run: CheckRun) -> None:
     "hypercube Q_3, K_4",
     120,
 )
-def _perfect_code_regular(run: CheckRun) -> None:
+def _perfect_code_regular(run: CheckRun) -> Iterator:
     pool = list(_graphs_upto(run.limit(5)))
     pool += [cycle(6), cycle(9), hypercube(3), complete(4)]
-    for g in run.each(pool):
+    for g in pool:
         degs = {g.degree(v) for v in range(g.n)}
         if len(degs) != 1:
             continue
@@ -571,7 +525,7 @@ def _perfect_code_regular(run: CheckRun) -> None:
             continue
         r = degs.pop()
         want = g.n // (r + 1)
-        run.record(
+        yield (
             [g],
             (True, 0, want, want),
             (
@@ -591,11 +545,10 @@ def _perfect_code_regular(run: CheckRun) -> None:
     "k=2",
     60,
 )
-def _hamming_codes(run: CheckRun) -> None:
-    run.check_budget()
+def _hamming_codes(run: CheckRun) -> Iterator:
     code2 = hamming_perfect_code(2)
     q3 = hypercube(3)
-    run.record(
+    yield (
         ["k=2"],
         (True, 2, 2, 2),
         (
@@ -605,11 +558,10 @@ def _hamming_codes(run: CheckRun) -> None:
             distance_packing(q3, 2).value,
         ),
     )
-    run.check_budget()
     code3 = hamming_perfect_code(3)
     q7 = hypercube(7)
     # regularity identity: a verified code pins gamma and rho_2 to |V|/(r+1)
-    run.record(
+    yield (
         ["k=3"],
         (True, 16, 16),
         (verify_witness(q7, code3, "perfect_code"), len(code3), q7.n // 8),
@@ -623,17 +575,15 @@ def _hamming_codes(run: CheckRun) -> None:
     "bipartite unlabeled graphs on at most 5 vertices",
     120,
 )
-def _bipartite_eop_lemma(run: CheckRun) -> None:
-    for g in run.each(_graphs_upto(run.limit(5))):
+def _bipartite_eop_lemma(run: CheckRun) -> Iterator:
+    for g in _graphs_upto(run.limit(5)):
         if bipartition(g) is None:
             continue
         bound = g.min_degree() * distance_packing(g, 3).value
         val = rho_eo(g).value
         w = bipartite_eop_witness(g)
         wit_ok = verify_witness(g, w, "eop") and len(w) >= bound
-        run.record(
-            [g], ("holds", True), ("holds" if val >= bound else f"{val} < {bound}", wit_ok)
-        )
+        yield [g], ("holds", True), (_within(bound, val), wit_ok)
 
 
 @_check(
@@ -643,16 +593,16 @@ def _bipartite_eop_lemma(run: CheckRun) -> None:
     "unlabeled graphs on at most 5 vertices",
     300,
 )
-def _prism_3packing(run: CheckRun) -> None:
-    for g in run.each(_graphs_upto(run.limit(5))):
+def _prism_3packing(run: CheckRun) -> Iterator:
+    for g in _graphs_upto(run.limit(5)):
         prism = cartesian(g, path(2)).graph
         r3 = distance_packing(prism, 3).value
         r2 = distance_packing(g, 2).value
         if bipartition(g) is None:
-            run.record([g], "holds", "holds" if r3 <= r2 else f"{r3} > {r2}")
+            yield [g], "holds", _within(0, r3, r2)
         else:
             _, w = prism_3packing_witness(g)
-            run.record(
+            yield (
                 [g],
                 (r2, True),
                 (r3, verify_witness(prism, w, "k_packing", k=3) and len(w) == r2),
@@ -673,16 +623,16 @@ _TABLE_EOP_LOWER = {5: 10, 6: 24, 7: 56, 8: 128}
     "hypercubes Q_1..Q_8",
     300,
 )
-def _table1_hypercubes(run: CheckRun) -> None:
-    for row in run.each(hypercube_table(run.limit(8))):
+def _table1_hypercubes(run: CheckRun) -> Iterator:
+    for row in hypercube_table(run.limit(8)):
         n = row.n
         if n in _TABLE_RHO2:
-            run.record(
+            yield (
                 [f"Q_{n} packings"], (_TABLE_RHO2[n], _TABLE_RHO3[n]), (row.rho_2, row.rho_3)
             )
         exact = n in _TABLE_EOP_EXACT
         eop = _TABLE_EOP_EXACT[n] if exact else _TABLE_EOP_LOWER[n]
-        run.record(
+        yield (
             [f"Q_{n} eop"], (eop, exact, True), (row.rho_eo, row.rho_eo_exact, row.verified)
         )
 
@@ -694,16 +644,15 @@ def _table1_hypercubes(run: CheckRun) -> None:
     "certificate",
     300,
 )
-def _roeo_q2k(run: CheckRun) -> None:
-    for k in run.each((1, 2)):
+def _roeo_q2k(run: CheckRun) -> Iterator:
+    for k in (1, 2):
         n = 2 ** k
         q, w = hypercube_eop_witness(k)
-        run.record(
+        yield (
             [f"k={k}"],
             (2 ** (n - 1), 2 ** (n - 1), True),
             (rho_eo(hypercube(n)).value, len(w), verify_witness(q, w, "eop")),
         )
-    run.check_budget()
     # k=3: witness of 128 edges; independence certificate closes the equality
     q8, w = hypercube_eop_witness(3)
     even = [v for v in range(256) if v.bit_count() % 2 == 0]
@@ -717,7 +666,7 @@ def _roeo_q2k(run: CheckRun) -> None:
         and all(q8.has_edge(u, v) for u, v in matching)
         and len({x for e in matching for x in e}) == 256
     )
-    run.record(
+    yield (
         ["k=3"],
         (128, True, True, True),
         (len(w), verify_witness(q8, w, "eop"), independent and len(even) == 128, matching_ok),
@@ -730,12 +679,13 @@ def _roeo_q2k(run: CheckRun) -> None:
     "none",
     0,
 )
-def _q9_bound(run: CheckRun) -> None:
-    """Record nothing, so the check reports ``skipped``.
+def _q9_bound(run: CheckRun) -> Iterator:
+    """Yield nothing, so the check reports ``skipped``.
 
     The bound needs a 17-word binary code of length 8 and minimum distance
     3, and no verified one is stored yet.
     """
+    yield from ()
 
 
 @_check(
@@ -746,13 +696,13 @@ def _q9_bound(run: CheckRun) -> None:
     "r in {2,3}",
     600,
 )
-def _rooted_three_values(run: CheckRun) -> None:
+def _rooted_three_values(run: CheckRun) -> Iterator:
     for g, h in _pairs(run):
-        for root in run.each(range(h.n)):
+        for root in range(h.n):
             val = nu_i(rooted_product(g, h, root).graph).value
             n, nh = g.n, nu_i(h).value
             allowed = {n * nh - beta(g).value, n * nh, n * nh + nu_i(g).value}
-            run.record(
+            yield (
                 [g, h, f"root={root}"],
                 "in set",
                 "in set" if val in allowed else f"{val} not in {sorted(allowed)}",
@@ -762,12 +712,12 @@ def _rooted_three_values(run: CheckRun) -> None:
         h_plus = subdivided_star([2] + [1] * (r - 1))  # root: far end of the long leg
         h_mid = star(r)  # root: any leaf
         h_minus = subdivided_star([2, 2] + [1] * (r - 2))  # root: far leaf of a long leg
-        for g in run.each(_graphs_upto(run.limit(4))):
+        for g in _graphs_upto(run.limit(4)):
             n = g.n
             v_plus = nu_i(rooted_product(g, h_plus, 2).graph).value
             v_mid = nu_i(rooted_product(g, h_mid, 1).graph).value
             v_minus = nu_i(rooted_product(g, h_minus, 2).graph).value
-            run.record(
+            yield (
                 [f"r={r}", g],
                 (n + nu_i(g).value, n, 2 * n - beta(g).value),
                 (v_plus, v_mid, v_minus),
@@ -780,11 +730,11 @@ def _rooted_three_values(run: CheckRun) -> None:
     "ordered pairs at most 4 vertices per factor",
     600,
 )
-def _corona_formula(run: CheckRun) -> None:
+def _corona_formula(run: CheckRun) -> Iterator:
     for g, h in _pairs(run):
         val = nu_i(corona(g, h).graph).value
         want = g.n * nu_i(h).value if h.m > 0 else alpha(g).value
-        run.record([g, h], want, val)
+        yield [g, h], want, val
 
 
 @_check(
@@ -797,27 +747,23 @@ def _corona_formula(run: CheckRun) -> None:
     "families",
     600,
 )
-def _rooted_eop_equ2(run: CheckRun) -> None:
+def _rooted_eop_equ2(run: CheckRun) -> Iterator:
     for g, h in _pairs(run):
-        for root in run.each(range(h.n)):
+        for root in range(h.n):
             val = rho_eo(rooted_product(g, h, root).graph).value
             lo = g.n * rho_eo(h).value - h.degree(root) * beta(g).value
             hi = g.n * rho_eo(h).value + rho_eo(g).value
-            run.record(
-                [g, h, f"root={root}"],
-                "bounds hold",
-                "bounds hold" if lo <= val <= hi else f"{val} outside [{lo},{hi}]",
-            )
+            yield [g, h, f"root={root}"], "holds", _within(lo, val, hi)
     # sharpness: cycles with star fibers rooted at the center hit the lower
     # bound; long-leg subdivided stars rooted at the far end hit the upper
-    for n, r in run.each(((4, 2), (4, 3), (6, 2))):
+    for n, r in ((4, 2), (4, 3), (6, 2)):
         val = rho_eo(rooted_product(cycle(n), star(r), 0).graph).value
-        run.record([f"C_{n} rooted K_1,{r}"], n * r // 2, val)
+        yield [f"C_{n} rooted K_1,{r}"], n * r // 2, val
     for r in (2, 3):
         h = subdivided_star([3] + [1] * (r - 1))
-        for g in run.each((path(3), cycle(4), complete(3))):
+        for g in (path(3), cycle(4), complete(3)):
             val = rho_eo(rooted_product(g, h, 3).graph).value
-            run.record(
+            yield (
                 [f"r={r}", g, h],
                 (g.n * r + rho_eo(g).value, r),
                 (val, rho_eo(h).value),
@@ -840,44 +786,62 @@ def run_check(
 ) -> CheckReport:
     """Run one registered check.
 
-    The status is ``error`` when the runner raised anything but
-    :class:`CapacityError` (the report carries ``"<ExcType>: <message>"``),
-    else ``fail`` on any recorded failure, else ``skipped`` on a partial run
-    (budget or capacity hit, or no instances), else ``pass``.
+    The runner is called and driven inside one ``try``.  The status is
+    ``error`` when it raised anything but :class:`CapacityError` (the report
+    carries ``"<ExcType>: <message>"``), else ``fail`` on any recorded
+    failure, else ``skipped`` on a partial run (the deadline passed before the
+    runner finished, a capacity hit, or no instances), else ``pass``.
     """
     if check_id not in REGISTRY:
         raise KeyError(f"unknown check id {check_id!r}")
     check = REGISTRY[check_id]
     t0 = time.monotonic()
-    budget_s = check.budget_s if budget is None else budget
-    run = CheckRun(seed=seed, deadline=t0 + budget_s, max_n=max_n)
-    error = None
+    deadline = t0 + (check.budget_s if budget is None else budget)
+    instances_run, failures, capacity_skips = 0, [], 0
+    timed_out, error = False, None
     try:
-        check.runner(run)
-    except _OutOfBudget:
-        pass  # run.timed_out is set, so the partial run is reported as skipped
+        records = check.runner(CheckRun(seed, max_n))
+        # the one budget gate: no instance starts once the deadline has passed
+        while not (timed_out := time.monotonic() > deadline):
+            record = next(records, None)
+            if record is None:
+                break
+            inputs, expected, actual = record
+            instances_run += 1
+            expected, actual = _jsonable(expected), _jsonable(actual)
+            if expected != actual:
+                failures.append(
+                    {
+                        "inputs_graph6": [
+                            write_graph6(x) if isinstance(x, Graph) else str(x)
+                            for x in inputs
+                        ],
+                        "expected": expected,
+                        "actual": actual,
+                    }
+                )
     except CapacityError:
-        run.skip_capacity()
+        capacity_skips = 1
     except Exception as exc:  # one broken runner must not abort the suite
         error = f"{type(exc).__name__}: {exc}"
     wall_ms = int((time.monotonic() - t0) * 1000)
     if error is not None:
         status = "error"
-    elif run.failures:
+    elif failures:
         status = "fail"
     # capacity-hit or budget-hit corpora never pass silently on the partial run
-    elif run.timed_out or run.capacity_skips or run.instances_run == 0:
+    elif timed_out or capacity_skips or instances_run == 0:
         status = "skipped"
     else:
         status = "pass"
     return CheckReport(
         check.id,
         check.citation,
-        run.instances_run,
-        run.failures,
+        instances_run,
+        failures,
         wall_ms,
         status,
-        capacity_skips=run.capacity_skips,
+        capacity_skips=capacity_skips,
         error=error,
     )
 

@@ -23,7 +23,6 @@ root, so their values, witnesses and node counts are unchanged.
 from __future__ import annotations
 
 import os
-import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -460,36 +459,26 @@ def gamma(g: Graph, max_items: Optional[int] = None) -> InvariantResult:
         best = sorted(greedy)
         best_size = len(greedy)
         nodes = 0
-        chosen: list = []
-
-        def dfs(unc: int):
-            nonlocal best, best_size, nodes
+        # frames are (uncovered set, chosen vertices); children are pushed in
+        # reverse, so they are explored in candidate order, depth first
+        stack = [(full, ())]
+        while stack:
+            unc, chosen = stack.pop()
             nodes += 1
             if unc == 0:
                 if len(chosen) < best_size:
-                    best_size = len(chosen)
-                    best = sorted(chosen)
-                return
-            maxcov = 0
-            for v in range(n):
-                cov = (closed[v] & unc).bit_count()
-                if cov > maxcov:
-                    maxcov = cov
+                    best_size, best = len(chosen), sorted(chosen)
+                continue
+            maxcov = max((c & unc).bit_count() for c in closed)
             lower = -(-unc.bit_count() // maxcov)
             if len(chosen) + lower >= best_size:
-                return
+                continue
             u = min(bits(unc), key=lambda x: (closed[x].bit_count(), x))
             cands = sorted(
                 bits(closed[u]),
                 key=lambda v: (-(closed[v] & unc).bit_count(), v),
             )
-            for v in cands:
-                chosen.append(v)
-                dfs(unc & ~closed[v])
-                chosen.pop()
-
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 100))
-        dfs(full)
+            stack.extend((unc & ~closed[v], chosen + (v,)) for v in reversed(cands))
         return InvariantResult("gamma", best_size, tuple(best), nodes)
 
     return _cached("gamma", g, solve, max_items)
@@ -506,22 +495,21 @@ def has_perfect_code(g: Graph) -> Optional[tuple]:
     _check_cap(n, _vertex_cap(None), "vertices")
     closed = [g.adj[v] | (1 << v) for v in range(n)]
     full = (1 << n) - 1
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 100))
-
-    def dfs(covered: int):
+    # frames are (covered set, code so far); children are pushed in reverse,
+    # so they are tried in increasing order, depth first
+    stack = [(0, ())]
+    while stack:
+        covered, code = stack.pop()
         if covered == full:
-            return ()
-        u = (~covered & full)
+            return tuple(sorted(code))
+        u = ~covered & full
         u = (u & -u).bit_length() - 1
-        for w in bits(closed[u]):
-            if closed[w] & covered == 0:
-                sub = dfs(covered | closed[w])
-                if sub is not None:
-                    return (w,) + sub
-        return None
-
-    code = dfs(0)
-    return tuple(sorted(code)) if code is not None else None
+        stack.extend(
+            (covered | closed[w], code + (w,))
+            for w in reversed(list(bits(closed[u])))
+            if closed[w] & covered == 0
+        )
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
+import dataclasses
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from eopack import harness
 from eopack.harness import (
     REGISTRY,
     list_checks,
@@ -152,31 +155,31 @@ def test_capacity_skip_never_passes(monkeypatch):
     clear_cache()
 
 
-def test_checkrun_budget_bookkeeping():
-    import time
+def _patch_runner(monkeypatch, runner):
+    patched = dataclasses.replace(REGISTRY["lex-nu-equality"], runner=runner)
+    monkeypatch.setitem(REGISTRY, "lex-nu-equality", patched)
 
-    from eopack.harness import CheckRun
 
-    fresh = CheckRun(seed=0, deadline=time.monotonic() + 60)
-    assert not fresh.out_of_budget()
-    stale = CheckRun(seed=0, deadline=time.monotonic() - 1)
-    assert stale.out_of_budget() and stale.timed_out
-    fresh.record(["x"], 1, 1)
-    fresh.record(["y"], 1, 2)
-    assert fresh.instances_run == 2
-    assert len(fresh.failures) == 1
-    assert fresh.failures[0]["inputs_graph6"] == ["y"]
+def test_checkrun_budget_bookkeeping(monkeypatch):
+    def two_records(run):
+        yield ["x"], 1, 1
+        yield ["y"], 1, 2
+
+    _patch_runner(monkeypatch, two_records)
+    r = run_check("lex-nu-equality")
+    assert r.instances_run == 2 and r.status == "fail"
+    assert len(r.failures) == 1
+    assert r.failures[0]["inputs_graph6"] == ["y"]
+    stale = run_check("lex-nu-equality", budget=-1)
+    assert stale.status == "skipped" and stale.instances_run == 0
 
 
 def test_runner_exception_is_recorded_as_error(monkeypatch):
-    import dataclasses
-
     def broken(run):
-        run.record(["x"], 1, 1)
+        yield ["x"], 1, 1
         raise AssertionError("broken runner")
 
-    patched = dataclasses.replace(REGISTRY["lex-nu-equality"], runner=broken)
-    monkeypatch.setitem(REGISTRY, "lex-nu-equality", patched)
+    _patch_runner(monkeypatch, broken)
     reports, summary = run_suite("lex-nu", max_n=2)
     status = {r.id: r.status for r in reports}
     # the rest of the suite still runs
@@ -186,6 +189,40 @@ def test_runner_exception_is_recorded_as_error(monkeypatch):
     assert d["error"] == "AssertionError: broken runner"
     assert d["instances_run"] == 1 and d["capacity_skips"] == 0
     assert report_json(reports[1], with_timing=False)["error"] is None
+
+
+def test_zero_budget_never_enters_a_runner(monkeypatch):
+    entered = []
+
+    def runner(run):
+        entered.append(run)
+        yield ["x"], 1, 1
+
+    _patch_runner(monkeypatch, runner)
+    r = run_check("lex-nu-equality", budget=0)
+    assert (r.status, r.instances_run) == ("skipped", 0)
+    assert entered == []
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+@pytest.mark.parametrize("extra", [0, 2], ids=["last-instance", "more-left"])
+def test_deadline_passing_after_k_instances_skips(monkeypatch, k, extra):
+    # the clock reads 0 for t0 and the first k gates, then jumps past the
+    # deadline, so instance k + 1 is never started
+    reads = []
+
+    def clock():
+        reads.append(None)
+        return 0.0 if len(reads) <= k + 1 else 100.0
+
+    def runner(run):
+        for i in range(k + extra):
+            yield [f"i={i}"], i, i
+
+    _patch_runner(monkeypatch, runner)
+    monkeypatch.setattr(harness, "time", SimpleNamespace(monotonic=clock))
+    r = run_check("lex-nu-equality", budget=10)
+    assert (r.status, r.instances_run, r.failures) == ("skipped", k, [])
 
 
 def test_capacity_skips_reported_without_timing(monkeypatch):

@@ -413,6 +413,17 @@ def test_alpha_deep_search_leaves_recursion_limit():
     assert sys.getrecursionlimit() == limit
 
 
+def test_domination_searches_leave_recursion_limit(monkeypatch):
+    # both searches run thousands of levels deep on long paths
+    monkeypatch.setenv("EOPACK_MAX_VERTICES", "5000")
+    invariants.clear_cache()
+    limit = sys.getrecursionlimit()
+    assert len(has_perfect_code(path(3000))) == 1000
+    assert gamma(path(1500), max_items=5000).value == 500
+    assert sys.getrecursionlimit() == limit
+    invariants.clear_cache()
+
+
 def test_has_perfect_code_vertex_cap(monkeypatch):
     monkeypatch.delenv("EOPACK_MAX_VERTICES", raising=False)
     with pytest.raises(CapacityError):
