@@ -502,8 +502,17 @@ _AUT_WORK_LIMIT = 1 << 17
 
 def is_aut(g: Graph, p: Sequence[int]) -> bool:
     """Whether the vertex permutation ``p`` (``v -> p[v]``) maps every edge to an edge."""
-    adj = g.adj
-    return all((adj[p[u]] >> p[v]) & 1 for u, v in g.edges)
+    return _maps_edges(g.adj, p)
+
+
+def _maps_edges(adj: Sequence[int], p: Sequence[int]) -> bool:
+    # :func:`is_aut` on symmetric adjacency rows, each edge uv (u < v) once
+    for u, row in enumerate(adj):
+        image = adj[p[u]]
+        for v in bits(row >> (u + 1) << (u + 1)):
+            if not (image >> p[v]) & 1:
+                return False
+    return True
 
 
 def orbit_masks(count: int, perms) -> list:
@@ -659,7 +668,16 @@ def automorphism_generators(g: Graph) -> list:
     symmetric groups (automorphisms preserve that partition), and the
     result is one transposition and one full cycle per cell, with no search.
     """
-    n, adj = g.n, g.adj
+    return _automorphisms(g.adj)
+
+
+def _automorphisms(adj: Sequence[int]) -> list:
+    """:func:`automorphism_generators` of the graph on 0..len(adj)-1 with these rows.
+
+    Builds no :class:`Graph`, so a solver can ask it about many induced
+    subgraphs cheaply.
+    """
+    n = len(adj)
     if n < 2:
         return []
     cells = [0] * n
@@ -702,7 +720,7 @@ def automorphism_generators(g: Graph) -> list:
             p = [0] * n
             for u, x in zip(first_leaf, cells):
                 p[u] = x.bit_length() - 1
-            if is_aut(g, p):
+            if _maps_edges(adj, p):
                 return tuple(p)
             leaves += 1
         return None
@@ -720,9 +738,11 @@ def automorphism_generators(g: Graph) -> list:
             p = leaf_automorphism(depth, w)
             if p is not None:
                 gens.append(p)
-                for o in orbit_masks(n, gens):
-                    for u in bits(o):
-                        orbit[u] = o
+                for u, x in enumerate(p):
+                    if not (orbit[u] >> x) & 1:
+                        merged = orbit[u] | orbit[x]
+                        for y in bits(merged):
+                            orbit[y] = merged
     return gens
 
 

@@ -9,15 +9,20 @@ vertex of maximum degree (ties to the lowest index), explores the include
 branch first, and prunes with a greedy clique-cover bound that stops as soon
 as it can no longer prune, so witnesses are reproducible.
 
-Solves of at least ``SYMMETRY_MIN_ITEMS`` items (128) first look for
-automorphisms of the base graph (:func:`eopack.graph.automorphism_generators`)
-and lift them to the items.  When an item orbit is non-trivial, the root
-branches once per orbit: include its least item, exclude the orbits before
-it.  This is exact for any group of automorphisms and cuts the relabelled
-hypercube solves about tenfold; the witness is then the first maximum set
-found from that root, still deterministic.  Smaller solves, trivial groups
-and :func:`enumerate_optimal` (which needs every optimum) use the plain
-root, so their values, witnesses and node counts are unchanged.
+Solves of at least ``SYMMETRY_MIN_ITEMS`` items (96) branch over orbits.
+The root lifts automorphisms of the base graph
+(:func:`eopack.graph.automorphism_generators`) to the items; when an item
+orbit is non-trivial, it branches once per orbit: include its least item,
+exclude the orbits before it.  Below such a root, each unpruned node with at
+least ``SYMMETRY_MIN_ITEMS`` candidates does the same with the automorphisms
+of its own conflict subgraph G[rem], until a node finds only singleton
+orbits; that node and its subtree branch plainly.  This is exact, since a
+subproblem's value depends only on G[rem], and it brings ``rho_eo(Q_6)``
+to 2,033 nodes and the code sizes A(8,3) = ``rho_2(Q_8)`` and A(9,4) =
+``rho_3(Q_9)`` within seconds.  The witness is then the first maximum set
+found, still deterministic.  Smaller solves, trivial root groups and
+:func:`enumerate_optimal` (which needs every optimum) branch plainly, so
+their values, witnesses and node counts are unchanged.
 """
 
 from __future__ import annotations
@@ -26,12 +31,20 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .graph import Graph, _bfs_dist, automorphism_generators, bits, orbit_masks
+from .graph import (
+    Graph,
+    _automorphisms,
+    _bfs_dist,
+    automorphism_generators,
+    bits,
+    orbit_masks,
+)
 
 DEFAULT_MAX_ITEMS = 250
 DEFAULT_MAX_VERTICES = 64
-# solves of at least this many items search from a symmetric root
-SYMMETRY_MIN_ITEMS = 128
+# solves, and search nodes below a symmetric root, of at least this many
+# items branch over orbits
+SYMMETRY_MIN_ITEMS = 96
 
 
 class CapSettingError(ValueError):
@@ -225,6 +238,49 @@ def _greedy_size(count: int, adj: Sequence[int]) -> int:
     return size
 
 
+def _orbit_frames(adj: Sequence[int], rem: int, size: int, chosen: int, orbits) -> list:
+    """Child frames of orbital branching over the candidates ``rem``, in stack order.
+
+    Frame i includes r_i = min O_i and excludes O_1..O_(i-1) and N[r_i]; a
+    last frame holds the candidates outside every O_i, when there are any.
+    The frames are reversed, so popping them explores O_1 first.
+    """
+    frames = []
+    done = 0
+    for orbit in orbits:
+        r = orbit & -orbit
+        frames.append((rem & ~(done | adj[r.bit_length() - 1] | r), size + 1, chosen | r, True))
+        done |= orbit
+    if rem & ~done:
+        frames.append((rem & ~done, size, chosen, True))
+    frames.reverse()
+    return frames
+
+
+def _candidate_orbits(adj: Sequence[int], rem: int) -> list:
+    """Non-singleton orbits of automorphisms of G[rem], as item masks by least item.
+
+    G[rem] is relabelled to 0..k-1 in item order, so least elements and
+    orbit order carry over.
+    """
+    items = list(bits(rem))
+    pos = {v: i for i, v in enumerate(items)}
+    rows = []
+    for v in items:
+        row = 0
+        for u in bits(adj[v] & rem):
+            row |= 1 << pos[u]
+        rows.append(row)
+    out = []
+    for o in orbit_masks(len(items), _automorphisms(rows)):
+        if o & (o - 1):
+            mask = 0
+            for i in bits(o):
+                mask |= 1 << items[i]
+            out.append(mask)
+    return out
+
+
 def _search(
     count: int, adj: Sequence[int], all_optima: bool = False, orbits: Sequence[int] = ()
 ):
@@ -242,34 +298,36 @@ def _search(
     every bound is valid, so the incumbent skips only subtrees that hold no
     optimum.  Each witness is sorted.
 
-    ``orbits`` (maximising only) are the non-singleton orbits O_1..O_k of a
-    group of automorphisms of ``adj``, as masks.  The root is then one frame
-    per orbit, explored in order: frame i includes r_i = min O_i and
-    excludes O_1..O_(i-1) and N[r_i]; a last frame holds the items outside
-    every O_i, when there are any.  A maximum set meeting O_i first is
-    mapped by the group onto one holding r_i and still missing
-    O_1..O_(i-1), so some frame holds an optimum (root orbital branching,
+    ``orbits`` are the non-singleton orbits O_1..O_k of a group of
+    automorphisms of ``adj``, as masks; ``all_optima`` ignores them.  The
+    root is then one frame per orbit (:func:`_orbit_frames`): frame i
+    includes r_i = min O_i and excludes O_1..O_(i-1) and N[r_i]; a last
+    frame holds the items outside every O_i.  A maximum set meeting O_i
+    first is mapped by the group onto one holding r_i and still missing
+    O_1..O_(i-1), so some frame holds an optimum (orbital branching,
     Ostrowski et al., Math. Prog. 126, 2011).
+
+    Below such a root, every unpruned node with at least
+    ``SYMMETRY_MIN_ITEMS`` candidates branches the same way over the orbits
+    of its own subproblem, the conflict subgraph G[rem]
+    (:func:`_candidate_orbits`).  That is exact too: what the subtree can
+    add depends only on G[rem], so an automorphism of G[rem] maps an
+    optimum of the subtree onto one.  A node whose orbits are all
+    singletons branches plainly, and nothing below it asks again.
     """
     tie = 0 if all_optima else 1
     best = _greedy_size(count, adj) - tie
     found: list = []
     nodes = 0
-    # frames are (remaining candidates, size, chosen vertices), sets as bitmasks
-    # one root frame per orbit, then one for the items outside every orbit
-    # (with no orbits, the plain root)
+    # frames are (remaining candidates, size, chosen vertices, symmetric?),
+    # sets as bitmasks; with orbits, one root frame per orbit
     full = (1 << count) - 1
-    stack = []
-    done = 0
-    for orbit in orbits:
-        r = orbit & -orbit
-        stack.append((full & ~(done | adj[r.bit_length() - 1] | r), 1, r))
-        done |= orbit
-    if full & ~done or not orbits:
-        stack.append((full & ~done, 0, 0))
-    stack.reverse()
+    if orbits and not all_optima:
+        stack = _orbit_frames(adj, full, 0, 0, orbits)
+    else:
+        stack = [(full, 0, 0, False)]
     while stack:
-        rem, size, chosen = stack.pop()
+        rem, size, chosen, sym = stack.pop()
         nodes += 1
         if not rem:
             if size > best:
@@ -292,10 +350,16 @@ def _search(
             cliques += 1
         if cliques < need:
             continue
+        if sym and rem.bit_count() >= SYMMETRY_MIN_ITEMS:
+            node_orbits = _candidate_orbits(adj, rem)
+            if node_orbits:
+                stack += _orbit_frames(adj, rem, size, chosen, node_orbits)
+                continue
+            sym = False
         v = _branch_vertex(adj, rem)
         bit = 1 << v
-        stack.append((rem & ~bit, size, chosen))
-        stack.append((rem & ~(adj[v] | bit), size + 1, chosen | bit))
+        stack.append((rem & ~bit, size, chosen, sym))
+        stack.append((rem & ~(adj[v] | bit), size + 1, chosen | bit, sym))
     return best, [tuple(bits(c)) for c in found], nodes
 
 
@@ -327,7 +391,8 @@ def _item_orbits(g: Graph, edge_items: bool) -> list:
 def _solve(
     name: str, count: int, adj: Sequence[int], g: Graph, edge_items: bool
 ) -> InvariantResult:
-    # root orbital branching from Aut(g), for large instances only
+    # large instances branch over orbits, at the root from Aut(g); a trivial
+    # root group leaves the whole search plain
     orbits = _item_orbits(g, edge_items) if count >= SYMMETRY_MIN_ITEMS else []
     size, (witness,), nodes = _search(count, adj, orbits=orbits)
     return InvariantResult(name, size, witness, nodes)

@@ -7,6 +7,7 @@ import pytest
 
 from eopack.graph import (
     Graph,
+    _automorphisms,
     automorphism_generators,
     complete,
     complete_bipartite,
@@ -21,10 +22,12 @@ from eopack.graph import (
 )
 from eopack import invariants
 from eopack.invariants import (
+    SYMMETRY_MIN_ITEMS,
     _item_orbits,
     _search,
     build_conflict_graph,
     clear_cache,
+    enumerate_optimal,
     nu_i,
     rho_eo,
     verify_witness,
@@ -239,11 +242,33 @@ def test_symmetric_root_matches_plain_search_on_products(kind, g, h, name):
 
 
 def test_symmetric_root_node_ceiling_on_q6():
-    # the plain search needed 499,863 nodes on natural labels
-    assert rho_eo(hypercube(6), max_items=1000).nodes <= 40_000
+    # the plain search needed 499,863 nodes on natural labels, the symmetric
+    # root alone 37,583, orbital branching at every large node 2,033
+    assert rho_eo(hypercube(6), max_items=1000).nodes <= 2_100
+
+
+def test_induced_matching_node_ceiling_on_q7():
+    # 448 items; the symmetric root alone needed 80,351 nodes
+    res = nu_i(hypercube(7), max_items=1000)
+    assert res.value == 32
+    assert res.nodes <= 10_000
+
+
+def counting_node_automorphisms(monkeypatch):
+    """Sizes of the subproblems whose automorphisms the search asks for."""
+    sizes = []
+
+    def counting(rows):
+        sizes.append(len(rows))
+        return _automorphisms(rows)
+
+    monkeypatch.setattr(invariants, "_automorphisms", counting)
+    return sizes
 
 
 def test_automorphisms_are_found_once_per_graph(monkeypatch):
+    # the base graph is analysed once, through the value cache, however many
+    # subproblems below the symmetric roots ask for their own groups
     calls = []
 
     def counting(g):
@@ -251,8 +276,105 @@ def test_automorphisms_are_found_once_per_graph(monkeypatch):
         return automorphism_generators(g)
 
     monkeypatch.setattr(invariants, "automorphism_generators", counting)
+    node_sizes = counting_node_automorphisms(monkeypatch)
     clear_cache()
     q6 = hypercube(6)
     assert nu_i(q6).value == 16
     assert rho_eo(q6).value == 24
     assert calls == [q6]
+    assert node_sizes and min(node_sizes) >= SYMMETRY_MIN_ITEMS
+
+
+# ---------------------------------------------------------------------------
+# orbital branching below the root against the plain search
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def low_threshold(monkeypatch):
+    # every node with two or more candidates asks for its own group
+    monkeypatch.setattr(invariants, "SYMMETRY_MIN_ITEMS", 2)
+    return counting_node_automorphisms(monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["nu_i", "rho_eo", "rho_2", "rho_3"])
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_node_orbits_match_plain_search_on_relabelled_cubes(low_threshold, d, name):
+    want = 24 if (d, name) == (6, "rho_eo") else None
+    check_symmetric_root(relabel(hypercube(d), 10 * d), name, want)
+
+
+@pytest.mark.parametrize("name", ["nu_i", "rho_eo", "rho_2", "rho_3"])
+@pytest.mark.parametrize("kind, g, h", VERTEX_TRANSITIVE_PRODUCTS)
+def test_node_orbits_match_plain_search_on_products(low_threshold, kind, g, h, name):
+    check_symmetric_root(relabel(product(kind, g, h).graph, 1), name)
+
+
+@pytest.mark.parametrize("d, name", [(4, "rho_eo"), (5, "nu_i"), (5, "rho_2"), (6, "nu_i")])
+def test_node_orbits_are_orbits_of_the_induced_subgraph(monkeypatch, d, name):
+    # each node's orbits against a Graph built from the edges inside rem
+    monkeypatch.setattr(invariants, "SYMMETRY_MIN_ITEMS", 2)
+    seen = []
+
+    def checked(adj, rem):
+        out = candidate_orbits(adj, rem)
+        items = [i for i in range(len(adj)) if rem >> i & 1]
+        sub = Graph.from_edges(len(items), [
+            (a, b) for a, b in itertools.combinations(range(len(items)), 2)
+            if adj[items[a]] >> items[b] & 1
+        ])
+        want = [
+            sum(1 << items[i] for i in range(len(items)) if o >> i & 1)
+            for o in orbit_masks(sub.n, automorphism_generators(sub))
+            if o & (o - 1)
+        ]
+        assert out == want
+        seen.append(rem)
+        return out
+
+    candidate_orbits = invariants._candidate_orbits
+    monkeypatch.setattr(invariants, "_candidate_orbits", checked)
+    check_symmetric_root(relabel(hypercube(d), 10 * d), name)
+    assert seen
+
+
+def test_orbit_frames_keep_the_items_outside_every_orbit():
+    # K_{2,3} with the subgroup that swaps the 2-side only: every maximum
+    # set is the 3-side, which lies outside the one orbit given
+    g = complete_bipartite(2, 3)
+    size, (witness,), _ = _search(g.n, g.adj, orbits=[0b11])
+    assert (size, witness) == (3, (2, 3, 4))
+
+
+@pytest.mark.parametrize("solve", [nu_i, rho_eo])
+def test_asymmetric_instances_search_plainly(monkeypatch, solve):
+    g = random_graph(24, 0.4, 0)
+    assert automorphism_generators(g) == []
+    kind = "induced_matching" if solve is nu_i else "eop"
+    c = build_conflict_graph(g, kind)
+    assert c.item_count >= SYMMETRY_MIN_ITEMS
+    node_sizes = counting_node_automorphisms(monkeypatch)
+    clear_cache()
+    res = solve(g)
+    size, (witness,), nodes = _search(c.item_count, c.conflicts)
+    assert (res.value, res.witness, res.nodes) == (size, witness, nodes)
+    assert node_sizes == []
+
+
+@pytest.mark.parametrize("name", ["nu_i", "rho_eo"])
+def test_all_optima_use_no_symmetry(low_threshold, name):
+    nx = pytest.importorskip("networkx")
+    g = relabel(hypercube(4), 4)
+    count, adj, edge_items, kind, _ = instance(g, name)
+    orbits = _item_orbits(g, edge_items)
+    assert orbits
+    c = build_conflict_graph(g, kind)
+    ours = enumerate_optimal(c)
+    assert _search(count, adj, all_optima=True, orbits=orbits)[1] == ours
+    assert low_threshold == []
+
+    conflict = nx.Graph()
+    conflict.add_nodes_from(range(count))
+    conflict.add_edges_from((i, j) for i in range(count) for j in range(i) if adj[i] >> j & 1)
+    cliques = list(nx.find_cliques(nx.complement(conflict)))
+    top = max(len(q) for q in cliques)
+    assert sorted(ours) == sorted(tuple(sorted(q)) for q in cliques if len(q) == top)
