@@ -76,69 +76,69 @@ def _cmd_compute(args) -> int:
     return EXIT_OK
 
 
+def _needs(args, flag: str, who: str):
+    """The value of --flag, which ``who`` cannot do without."""
+    value = getattr(args, flag)
+    if value is None:
+        raise GraphError(f"{who} needs --{flag}")
+    return value
+
+
+# --kind -> the product graph of the factors --g and --h
+_PRODUCTS = {
+    **{
+        kind: lambda g, h, args, kind=kind: products.product(kind, g, h).graph
+        for kind in products.PRODUCT_KINDS
+    },
+    "rooted": lambda g, h, args: products.rooted_product(
+        g, h, _needs(args, "root", "rooted product")
+    ).graph,
+    "corona": lambda g, h, args: products.corona(g, h).graph,
+    "join": lambda g, h, args: products.join(g, h),
+}
+
+
 def _cmd_product(args) -> int:
     g = parse_graph6(args.g)
     h = parse_graph6(args.h)
-    if args.kind == "join":
-        out = products.join(g, h)
-    elif args.kind == "rooted":
-        if args.root is None:
-            raise GraphError("rooted product needs --root")
-        out = products.rooted_product(g, h, args.root).graph
-    elif args.kind == "corona":
-        out = products.corona(g, h).graph
-    else:
-        out = products.product(args.kind, g, h).graph
-    print(write_graph6(out))
+    print(write_graph6(_PRODUCTS[args.kind](g, h, args)))
     return EXIT_OK
+
+
+# --name -> (construction on the factors --g and --h, witness kind, the flag
+# that gives its one further argument)
+_FACTOR_WITNESSES = {
+    "lex-im": (constructions.lex_im_witness, "induced_matching", None),
+    "lex-eop": (constructions.lex_eop_witness, "eop", "variant"),
+    "direct-im": (constructions.direct_im_witness, "induced_matching", None),
+    "direct-eop": (constructions.direct_eop_witness, "eop", None),
+    "box-eop": (constructions.box_eop_witness, "eop", "product_kind"),
+    "rooted-im": (constructions.rooted_im_witness, "induced_matching", "root"),
+}
 
 
 def _witness_instance(args) -> tuple:
     """(host graph, witness, witness kind, k) of the named construction."""
     name = args.name
+    if name in _FACTOR_WITNESSES:
+        build, kind, flag = _FACTOR_WITNESSES[name]
+        if args.g is None or args.h is None:
+            raise GraphError(f"{name} needs --g and --h")
+        g, h = parse_graph6(args.g), parse_graph6(args.h)
+        p, w = build(g, h, *([] if flag is None else [_needs(args, flag, name)]))
+        return p.graph, w, kind, None
     if name in ("hamming-code", "hypercube-eop"):
-        if args.k is None:
-            raise GraphError(f"{name} needs --k")
+        k = _needs(args, "k", name)
         if name == "hypercube-eop":
-            host, w = constructions.hypercube_eop_witness(args.k)
+            host, w = constructions.hypercube_eop_witness(k)
             return host, w, "eop", None
-        code = constructions.hamming_perfect_code(args.k)
-        return hypercube(2 ** args.k - 1), code, "perfect_code", None
-    if name in ("bipartite-eop", "prism-3packing"):
-        if args.g6 is None:
-            raise GraphError(f"{name} needs --g6")
-        base = parse_graph6(args.g6)
-        if name == "bipartite-eop":
-            return base, constructions.bipartite_eop_witness(base), "eop", None
-        p, w = constructions.prism_3packing_witness(base)
-        return p.graph, w, "k_packing", 3
-    if args.g is None or args.h is None:
-        raise GraphError(f"{name} needs --g and --h")
-    g = parse_graph6(args.g)
-    h = parse_graph6(args.h)
-    if name == "lex-im":
-        p, w = constructions.lex_im_witness(g, h)
-        kind = "induced_matching"
-    elif name == "lex-eop":
-        p, w = constructions.lex_eop_witness(g, h, args.variant)
-        kind = "eop"
-    elif name == "direct-im":
-        p, w = constructions.direct_im_witness(g, h)
-        kind = "induced_matching"
-    elif name == "direct-eop":
-        p, w = constructions.direct_eop_witness(g, h)
-        kind = "eop"
-    elif name == "box-eop":
-        p, w = constructions.box_eop_witness(g, h, args.product_kind)
-        kind = "eop"
-    elif name == "rooted-im":
-        if args.root is None:
-            raise GraphError("rooted-im needs --root")
-        p, w = constructions.rooted_im_witness(g, h, args.root)
-        kind = "induced_matching"
-    else:  # pragma: no cover - argparse restricts choices
-        raise GraphError(f"unknown witness {name!r}")
-    return p.graph, w, kind, None
+        code = constructions.hamming_perfect_code(k)
+        return hypercube(2 ** k - 1), code, "perfect_code", None
+    base = parse_graph6(_needs(args, "g6", name))
+    if name == "bipartite-eop":
+        return base, constructions.bipartite_eop_witness(base), "eop", None
+    p, w = constructions.prism_3packing_witness(base)
+    return p.graph, w, "k_packing", 3
 
 
 def _cmd_witness(args) -> int:
@@ -212,11 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_compute)
 
     p = sub.add_parser("product", help="build a product graph, print its graph6")
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=["cartesian", "direct", "strong", "lex", "rooted", "corona", "join"],
-    )
+    p.add_argument("--kind", required=True, choices=list(_PRODUCTS))
     p.add_argument("--g", required=True, help="first factor, graph6")
     p.add_argument("--h", required=True, help="second factor, graph6")
     p.add_argument("--root", type=int, default=None, help="root vertex (rooted)")
@@ -227,12 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--name",
         required=True,
         choices=[
-            "lex-im",
-            "lex-eop",
-            "direct-im",
-            "direct-eop",
-            "box-eop",
-            "rooted-im",
+            *_FACTOR_WITNESSES,
             "bipartite-eop",
             "prism-3packing",
             "hamming-code",

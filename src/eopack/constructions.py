@@ -42,6 +42,21 @@ def _edge_idx(p: ProductGraph, a: int, b: int) -> int:
     return p.graph.edge_index[(a, b) if a < b else (b, a)]
 
 
+def _star_fan(p: ProductGraph, g: Graph, pairs, swap: bool = False) -> set:
+    """Edges (c, x)-(leaf, y) of p over the stars of a maximum EOP set of g.
+
+    One edge for every star edge ``(c, leaf)`` of :func:`_star_edges` and
+    every coordinate pair ``(x, y)`` in ``pairs``; with ``swap`` g is the
+    second factor and the edges are (x, c)-(y, leaf).
+    """
+    code = (lambda u, x: p.encode(x, u)) if swap else p.encode
+    return {
+        _edge_idx(p, code(c, x), code(leaf, y))
+        for c, leaf in _star_edges(g)
+        for x, y in pairs
+    }
+
+
 def _fiber_copies(
     p: ProductGraph, h: Graph, fibers: Sequence[int], witness: Sequence[int]
 ) -> set:
@@ -69,13 +84,7 @@ def lex_eop_witness(g: Graph, h: Graph, variant: str = "star_based") -> tuple:
     """
     p = lex(g, h)
     if variant == "star_based":
-        stars = _star_edges(g)
-        spots = alpha(h).witness
-        w = {
-            _edge_idx(p, p.encode(c, 0), p.encode(leaf, hv))
-            for c, leaf in stars
-            for hv in spots
-        }
+        w = _star_fan(p, g, [(0, v) for v in alpha(h).witness])
     elif variant == "fiber_based":
         w = _fiber_copies(p, h, alpha(g).witness, rho_eo(h).witness)
     else:
@@ -99,20 +108,9 @@ def direct_im_witness(g: Graph, h: Graph) -> tuple:
     return p, tuple(sorted(w))
 
 
-def _direct_eop_oneway(p: ProductGraph, g: Graph, h: Graph, swap: bool) -> set:
-    # stars of a maximum EOP set of the first factor, fanned out from the
-    # star centers to the neighborhoods of an open packing of the second
-    stars = _star_edges(g)
-    packing = rho_o(h).witness
-    w = set()
-    for center, leaf in stars:
-        for hv in packing:
-            for hn in bits(h.adj[hv]):
-                if swap:
-                    w.add(_edge_idx(p, p.encode(hv, center), p.encode(hn, leaf)))
-                else:
-                    w.add(_edge_idx(p, p.encode(center, hv), p.encode(leaf, hn)))
-    return w
+def _open_fans(g: Graph) -> list:
+    """Pairs (v, u) for v in a maximum open packing of g and u in N(v)."""
+    return [(v, u) for v in rho_o(g).witness for u in bits(g.adj[v])]
 
 
 def direct_eop_witness(g: Graph, h: Graph) -> tuple:
@@ -122,8 +120,8 @@ def direct_eop_witness(g: Graph, h: Graph) -> tuple:
     of h (>= rho_eo(g) * delta(h) * rho_o(h)); the other swaps the factors.
     """
     p = direct(g, h)
-    w1 = _direct_eop_oneway(p, g, h, swap=False)
-    w2 = _direct_eop_oneway(p, h, g, swap=True)
+    w1 = _star_fan(p, g, _open_fans(h))
+    w2 = _star_fan(p, h, _open_fans(g), swap=True)
     best = w1 if len(w1) >= len(w2) else w2
     return p, tuple(sorted(best))
 
@@ -139,11 +137,7 @@ def box_eop_witness(g: Graph, h: Graph, kind: str = "cartesian") -> tuple:
     if kind not in ("cartesian", "strong"):
         raise GraphError(f"unsupported product kind {kind!r}")
     p = product(kind, g, h)
-    w1 = {
-        _edge_idx(p, p.encode(c, hv), p.encode(leaf, hv))
-        for c, leaf in _star_edges(g)
-        for hv in alpha(h).witness
-    }
+    w1 = _star_fan(p, g, [(v, v) for v in alpha(h).witness])
     packing = rho_eo(h).witness
     w2 = _fiber_copies(p, h, alpha(g).witness, packing)
     best = w1 if len(w1) >= len(w2) else w2

@@ -7,8 +7,9 @@ Reports are machine readable and deterministic for a fixed (id, seed, budget)
 apart from wall-clock timing.
 
 A check is declared once, where its runner is defined: the
-``@_check(id, citation, corpus, budget_s)`` decorator appends a :class:`Check`
-to the registry, so ``list_checks()`` follows declaration order.  A runner is a
+``@_check(id, citation, corpus, budget_s)`` decorator adds a :class:`Check`
+to ``REGISTRY``, so ``list_checks()`` follows declaration order, and a repeated
+id is a ``ValueError``.  A runner is a
 generator that yields one ``(inputs, expected, actual)`` record per instance.
 :func:`run_check` drives it and is the one place that reads the clock, counts
 instances and builds failure entries.  It checks the deadline before every
@@ -117,14 +118,17 @@ def _jsonable(x):
     return str(x)
 
 
-_CHECKS: list = []
+# check id -> Check, in declaration order
+REGISTRY: dict = {}
 
 
 def _check(id: str, citation: str, corpus: str, budget_s: float):
     """Register the decorated runner as check ``id``, in declaration order."""
 
     def register(runner: Callable) -> Callable:
-        _CHECKS.append(Check(id, citation, corpus, budget_s, runner))
+        if id in REGISTRY:
+            raise ValueError(f"check id {id!r} is declared twice")
+        REGISTRY[id] = Check(id, citation, corpus, budget_s, runner)
         return runner
 
     return register
@@ -770,12 +774,9 @@ def _rooted_eop_equ2(run: CheckRun) -> Iterator:
             )
 
 
-REGISTRY = {c.id: c for c in _CHECKS}
-
-
 def list_checks(name_filter: str = "") -> list:
     """Checks whose id or corpus contains the filter, in declaration order."""
-    return [c for c in _CHECKS if name_filter in c.id or name_filter in c.corpus]
+    return [c for c in REGISTRY.values() if name_filter in c.id or name_filter in c.corpus]
 
 
 def run_check(

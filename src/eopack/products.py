@@ -36,35 +36,39 @@ class ProductGraph:
         return [self.encode(a, b) for a in range(self.gn)]
 
 
+def _blocks(g: Graph, h: Graph, within, across) -> ProductGraph:
+    """(a, x) is adjacent to ``within[x]`` in its own block a and to
+    ``across[x]`` in every block b adjacent to a in g.
+    """
+    gn, hn = g.n, h.n
+    # spread[a] has one bit at the start of each block next to a: times a row
+    # of h, it copies that row into all those blocks
+    spread = [0] * gn
+    for a, b in g.edges:
+        spread[a] |= 1 << (b * hn)
+        spread[b] |= 1 << (a * hn)
+    rows = [
+        (w << (a * hn)) | (c * spread[a])
+        for a in range(gn)
+        for w, c in zip(within, across)
+    ]
+    return ProductGraph(Graph(gn * hn, rows), gn, hn)
+
+
 def product(kind: str, g: Graph, h: Graph) -> ProductGraph:
     """One of the four standard products of nonempty factors."""
     if kind not in PRODUCT_KINDS:
         raise GraphError(f"unknown product kind {kind!r}")
     if g.n == 0 or h.n == 0:
         raise GraphError("product factors must be nonempty")
-    gn, hn = g.n, h.n
-    edges = []
-    if kind in ("cartesian", "strong"):
-        for a, b in g.edges:
-            for x in range(hn):
-                edges.append((a * hn + x, b * hn + x))
-        for a in range(gn):
-            for x, y in h.edges:
-                edges.append((a * hn + x, a * hn + y))
-    if kind in ("direct", "strong"):
-        for a, b in g.edges:
-            for x, y in h.edges:
-                edges.append((a * hn + x, b * hn + y))
-                edges.append((a * hn + y, b * hn + x))
-    if kind == "lex":
-        for a, b in g.edges:
-            for x in range(hn):
-                for y in range(hn):
-                    edges.append((a * hn + x, b * hn + y))
-        for a in range(gn):
-            for x, y in h.edges:
-                edges.append((a * hn + x, a * hn + y))
-    return ProductGraph(Graph.from_edges(gn * hn, edges), gn, hn)
+    # the slots of block b that (a, x) sees when a ~ b in g
+    across = {
+        "cartesian": [1 << x for x in range(h.n)],
+        "direct": h.adj,
+        "strong": [r | 1 << x for x, r in enumerate(h.adj)],
+        "lex": [(1 << h.n) - 1] * h.n,
+    }[kind]
+    return _blocks(g, h, [0] * h.n if kind == "direct" else h.adj, across)
 
 
 def cartesian(g: Graph, h: Graph) -> ProductGraph:
@@ -90,14 +94,9 @@ def rooted_product(g: Graph, h: Graph, root: int) -> ProductGraph:
     """
     if not 0 <= root < h.n:
         raise GraphError(f"root {root} out of range for factor of order {h.n}")
-    gn, hn = g.n, h.n
-    edges = []
-    for a in range(gn):
-        for x, y in h.edges:
-            edges.append((a * hn + x, a * hn + y))
-    for a, b in g.edges:
-        edges.append((a * hn + root, b * hn + root))
-    return ProductGraph(Graph.from_edges(gn * hn, edges), gn, hn)
+    across = [0] * h.n
+    across[root] = 1 << root
+    return _blocks(g, h, h.adj, across)
 
 
 def join(g: Graph, h: Graph) -> Graph:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -397,3 +398,60 @@ def test_witness_rooted_im_needs_root(capsys):
     code, out, err = run_cli(capsys, "witness", "--name", "rooted-im", "--g", p4, "--h", p4)
     assert code == 2 and out == ""
     assert err == "error: rooted-im needs --root\n"
+
+
+# sha256 of "<exit code>\n<stdout>" for every witness name and product kind, on
+# the factors P_3 = Bg and C_4 = Cl; the digests were taken before the product
+# rows and the CLI dispatch tables were rewritten, so they pin the old replies
+_P3_C4 = ("--g", "Bg", "--h", "Cl")
+_PINNED_REPLIES = [
+    (("witness", "--name", "lex-im", *_P3_C4),
+     "6e3fec99f00797b369fb86aa3defcaa35cf591c0f325cda180cf8668aeb4f03f"),
+    (("witness", "--name", "lex-eop", *_P3_C4),
+     "add9671f5b3c5df7282dd212740b026d554f75fc506d7b2c3a4fb9c6de194b5c"),
+    (("witness", "--name", "lex-eop", *_P3_C4, "--variant", "fiber_based"),
+     "3a307f752f3d2c58fed3838f001a3b85491d52cfd927b0b6e4936289d841d0fa"),
+    (("witness", "--name", "direct-im", *_P3_C4),
+     "e5b6313f25dcc558abbb5a5d6a6e8a3e7efe1ca5a14c664678544474521b2de1"),
+    (("witness", "--name", "direct-eop", *_P3_C4),
+     "4d732663826d8005ee1b58f84d88d8f031147014297d6c04ff38aadc2aa266a0"),
+    # here the swapped orientation is the larger one
+    (("witness", "--name", "direct-eop", "--g", "Cl", "--h", "Bg"),
+     "dcdb14c7f2f4cb9fe0f4cded67cf8ff3500318b878ad885f10ec57c7e94036a2"),
+    (("witness", "--name", "box-eop", *_P3_C4),
+     "e29d27a6f2852b3a7c9d0ed88091f4431e5a71fc524d9c402168c41bc1a7a3e4"),
+    (("witness", "--name", "box-eop", *_P3_C4, "--product-kind", "strong"),
+     "614dda136b3f13f599075b5b25d044c6ed79ba8af6e9bae573df5685ea9c4fc3"),
+    (("witness", "--name", "rooted-im", *_P3_C4, "--root", "1"),
+     "eb329df014476b5877cce8482c0ed68b6d2c17cd83242803a8273eac04a5906a"),
+    (("witness", "--name", "bipartite-eop", "--g6", "EhEG"),
+     "df66ae71cfb1367802ee61e23b2194cfec66041841c09e4a6435b065d7ba831f"),
+    (("witness", "--name", "prism-3packing", "--g6", "Ch"),
+     "10591033c3da6460e9839a982ad9589f8466edfb97ddd6fa8fd59a013c21a7bb"),
+    (("witness", "--name", "hamming-code", "--k", "2"),
+     "13a325db3505d40b92ae0c09142530947b30ec5c7584dedc78cc4c6593b804f4"),
+    (("witness", "--name", "hypercube-eop", "--k", "2"),
+     "06552e61a543ef9d8eb468d3e5f7d9d99860daf4405822e6edc0d87d419029d1"),
+    (("product", "--kind", "cartesian", *_P3_C4),
+     "c0c2e221046a7bd8d836a22667f3a24e110c69f7471729e2a06043ffe592457c"),
+    (("product", "--kind", "direct", *_P3_C4),
+     "72f0891d4f9064193966b0dc32161d2c45e6ed372ba5e772fe11a91f96a3a1fd"),
+    (("product", "--kind", "strong", *_P3_C4),
+     "b71f6db073a4625c062c58cb40423de670c5a0398bc647f6a9009dd249db6d67"),
+    (("product", "--kind", "lex", *_P3_C4),
+     "4f4189c1502e9dab7ec874103359f182c1c882729e5bc164f0f082875bb6f281"),
+    (("product", "--kind", "rooted", *_P3_C4, "--root", "1"),
+     "f120878a49ec0987ce097a9ce8fcedb961373113d0f36f863cac3fad13c2f5fd"),
+    (("product", "--kind", "corona", *_P3_C4),
+     "eb2427c2c478a9321c9c0ec0be48963d07caf0d7c701dc9ffdfa9b657fc5b9e1"),
+    (("product", "--kind", "join", *_P3_C4),
+     "d46fd2cbc0a418d79022f16c0d7c0848db5bb6f7e3dd92c03b240b3ca202a0c4"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", _PINNED_REPLIES, ids=[" ".join(argv) for argv, _ in _PINNED_REPLIES]
+)
+def test_witness_and_product_replies_are_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == digest

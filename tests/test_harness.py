@@ -53,6 +53,23 @@ def test_registry_covers_every_statement():
     assert len(set(ALL_CHECK_IDS)) == len(ALL_CHECK_IDS)
 
 
+def test_repeated_check_id_is_refused():
+    before = list(REGISTRY.items())
+    declare = harness._check("spider-equality", "again", "nothing", 1)
+    with pytest.raises(ValueError, match="'spider-equality' is declared twice"):
+        declare(lambda run: iter(()))
+    assert list(REGISTRY.items()) == before
+
+
+def test_suite_runs_the_registered_runner_once(monkeypatch):
+    patched = dataclasses.replace(
+        REGISTRY["spider-equality"], runner=lambda run: iter([(["x"], 1, 1)])
+    )
+    monkeypatch.setitem(REGISTRY, "spider-equality", patched)
+    reports, _ = run_suite("spider-eq")
+    assert [(r.id, r.instances_run) for r in reports] == [("spider-equality", 1)]
+
+
 def test_every_check_has_citation_and_corpus():
     for c in list_checks():
         assert c.citation.strip()

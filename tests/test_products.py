@@ -225,3 +225,57 @@ def test_edge_count_identities_larger_factors():
         assert direct(g, h).graph.m == 2 * g.m * h.m
         assert strong(g, h).graph.m == g.m * h.n + g.n * h.m + 2 * g.m * h.m
         assert lex(g, h).graph.m == g.m * h.n ** 2 + g.n * h.m
+
+
+# (a, x) ~ (b, y) in each product, read off the definition; vertex (a, x) of a
+# product with blocks of size k is a * k + x
+_DEFINED = {
+    "cartesian": lambda g, h, a, x, b, y: (a == b and h.has_edge(x, y))
+    or (g.has_edge(a, b) and x == y),
+    "direct": lambda g, h, a, x, b, y: g.has_edge(a, b) and h.has_edge(x, y),
+    "strong": lambda g, h, a, x, b, y: (a == b and h.has_edge(x, y))
+    or (g.has_edge(a, b) and (x == y or h.has_edge(x, y))),
+    "lex": lambda g, h, a, x, b, y: (a == b and h.has_edge(x, y)) or g.has_edge(a, b),
+}
+
+
+def _defined_edges(gn, k, adjacent):
+    n = gn * k
+    return tuple(
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if adjacent(*divmod(u, k), *divmod(v, k))
+    )
+
+
+def test_products_match_their_definitions_on_all_small_factors():
+    factors = [g for n in (1, 2, 3, 4) for g in enumerate_graphs(n, dedup=True)]
+    assert len(factors) ** 2 == 324
+    for g in factors:
+        for h in factors:
+            for kind, adjacent in _DEFINED.items():
+                p = product(kind, g, h)
+                assert (p.gn, p.hn) == (g.n, h.n)
+                want = _defined_edges(
+                    g.n, h.n, lambda a, x, b, y: adjacent(g, h, a, x, b, y)
+                )
+                assert p.graph.edges == want, (kind, g.edges, h.edges)
+            for r in range(h.n):
+                # h on every block; g on the root slots only
+                want = _defined_edges(
+                    g.n,
+                    h.n,
+                    lambda a, x, b, y: (a == b and h.has_edge(x, y))
+                    or (g.has_edge(a, b) and x == y == r),
+                )
+                assert rooted_product(g, h, r).graph.edges == want, (r, g.edges, h.edges)
+            # slot 0 of block a is the host vertex a, slots 1.. a copy of h
+            want = _defined_edges(
+                g.n,
+                h.n + 1,
+                lambda a, x, b, y: (a == b and x != y and 0 in (x, y))
+                or (a == b and x and y and h.has_edge(x - 1, y - 1))
+                or (g.has_edge(a, b) and x == y == 0),
+            )
+            assert corona(g, h).graph.edges == want, (g.edges, h.edges)
