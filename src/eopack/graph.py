@@ -501,12 +501,12 @@ _AUT_WORK_LIMIT = 1 << 17
 
 
 def is_aut(g: Graph, p: Sequence[int]) -> bool:
-    """Whether the vertex permutation ``p`` (``v -> p[v]``) maps every edge to an edge."""
-    return _maps_edges(g.adj, p)
+    """Whether ``p`` (``v -> p[v]``) permutes the vertices and maps every edge to an edge."""
+    return sorted(p) == list(range(g.n)) and _maps_edges(g.adj, p)
 
 
 def _maps_edges(adj: Sequence[int], p: Sequence[int]) -> bool:
-    # :func:`is_aut` on symmetric adjacency rows, each edge uv (u < v) once
+    # :func:`is_aut` for a permutation p, on symmetric rows, each edge uv (u < v) once
     for u, row in enumerate(adj):
         image = adj[p[u]]
         for v in bits(row >> (u + 1) << (u + 1)):
@@ -537,78 +537,75 @@ def orbit_masks(count: int, perms) -> list:
     return list(orbits.values())
 
 
-def _refine(adj: Sequence[int], cells: list, cell_of: list, queue: list) -> None:
+def _refine(adj: Sequence[int], cells: list, ns: list, queue: list) -> None:
     """Refine an ordered partition in place to an equitable one.
 
     ``cells[s]`` is the vertex mask of the cell starting at position s (0 at
-    other positions) and ``cell_of[v]`` the start of v's cell.  Each splitter
-    taken from ``queue`` (cell starts, first in first out) splits every cell
-    by the number of neighbours its vertices have in the splitter, fragments
-    in ascending order of that count.  A split cell already queued queues
-    all its new fragments; otherwise all but its first largest fragment
-    (Hopcroft's rule).  Nothing depends on vertex labels, so relabelling the
-    graph relabels the result.
+    other positions) and ``ns`` the ascending starts of the non-singleton
+    cells; no per-vertex array is kept.  Each splitter taken from ``queue``
+    (cell starts, first in first out) adds the rows of its vertices into
+    *planes*, a vertical binary counter: plane j holds bit j of every
+    vertex's neighbour count in the splitter, and their OR ``nbr`` holds the
+    vertices with a neighbour there.  Each non-singleton cell meeting
+    ``nbr``, in ascending start order, is split by the planes, most
+    significant first, into its parts outside and inside each plane; so its
+    fragments come out in ascending order of the count, the count-0
+    fragment included.  A split cell already queued queues all its new
+    fragments; otherwise all but its first largest fragment (Hopcroft's
+    rule).  Refinement stops once the queue or ``ns`` is empty.  Nothing
+    depends on vertex labels, so relabelling the graph relabels the result.
     """
     queued = set(queue)
     queue = deque(queue)
-    while queue:
+    while queue and ns:
         s = queue.popleft()
         queued.discard(s)
-        w = cells[s]
-        nbr = 0
-        for u in bits(w):
-            nbr |= adj[u]
-        split: dict = {}
-        for v in bits(nbr):
-            st = cell_of[v]
-            x = cells[st]
-            if x & (x - 1):
-                by_count = split.setdefault(st, {})
-                c = (adj[v] & w).bit_count()
-                by_count[c] = by_count.get(c, 0) | (1 << v)
-        for st in sorted(split):
-            by_count = split[st]
-            rest = cells[st] & ~nbr
-            if rest:
-                by_count[0] = rest
-            if len(by_count) == 1:
+        planes, nbr = [], 0
+        for u in bits(cells[s]):
+            carry = adj[u]
+            nbr |= carry
+            for j, plane in enumerate(planes):
+                planes[j] = plane ^ carry
+                carry &= plane
+            if carry:
+                planes.append(carry)
+        for st in [st for st in ns if cells[st] & nbr]:
+            cell = cells[st]
+            parts = [cell]
+            for plane in reversed(planes):
+                if cell & plane not in (0, cell):  # else it splits no part
+                    parts = [q for x in parts for q in (x & ~plane, x & plane) if q]
+            if len(parts) == 1:
                 continue
-            parts = [by_count[c] for c in sorted(by_count)]
-            sizes = [part.bit_count() for part in parts]
+            sizes = [x.bit_count() for x in parts]
             keep = None if st in queued else sizes.index(max(sizes))
             pos = st
-            for i, part in enumerate(parts):
-                cells[pos] = part
-                if pos != st:
-                    for v in bits(part):
-                        cell_of[v] = pos
+            starts = []
+            for i, x in enumerate(parts):
+                cells[pos] = x
+                if x & (x - 1):
+                    starts.append(pos)
                 if i != keep and pos not in queued:
                     queued.add(pos)
                     queue.append(pos)
                 pos += sizes[i]
+            i = ns.index(st)
+            ns[i:i + 1] = starts
 
 
-def _individualize(adj, cells: list, cell_of: list, st: int, v: int) -> int:
-    """Split v off the front of the cell at ``st``, refine, and return the next target.
+def _individualize(adj, cells: list, ns: list, v: int) -> int:
+    """Split v off the front of the first non-singleton cell, refine, and return the next.
 
-    The target is the start of the first non-singleton cell, or -1 when the
-    partition is discrete; cells before ``st`` are singletons already.
+    The first non-singleton cell starts at ``ns[0]``; the return value is
+    the new ``ns[0]``, or -1 when the partition is discrete.
     """
+    st = ns[0]
     rest = cells[st] ^ (1 << v)
     cells[st] = 1 << v
     cells[st + 1] = rest
-    for u in bits(rest):
-        cell_of[u] = st + 1
-    _refine(adj, cells, cell_of, [st])
-    return _first_target(cells, st + 1)
-
-
-def _first_target(cells: list, start: int) -> int:
-    for s in range(start, len(cells)):
-        x = cells[s]
-        if x & (x - 1):
-            return s
-    return -1
+    ns[:1] = [st + 1] if rest & (rest - 1) else []
+    _refine(adj, cells, ns, [st])
+    return ns[0] if ns else -1
 
 
 def _twin_cell_generators(adj: Sequence[int], cells: list) -> Optional[list]:
@@ -682,22 +679,21 @@ def _automorphisms(adj: Sequence[int]) -> list:
         return []
     cells = [0] * n
     cells[0] = (1 << n) - 1
-    cell_of = [0] * n
-    _refine(adj, cells, cell_of, [0])
+    ns = [0]
+    _refine(adj, cells, ns, [0])
     twins = _twin_cell_generators(adj, cells)
     if twins is not None:
         return twins
     steps = _AUT_WORK_LIMIT // n
     shapes = [[x.bit_count() for x in cells]]
-    levels = []  # (cells, cell_of, target start) before each individualization
-    st = _first_target(cells, 0)
-    while st >= 0:
+    levels = []  # (cells, ns) before each individualization
+    while ns:
         steps -= 1
         if steps < 0:
             return []
-        levels.append((cells[:], cell_of[:], st))
-        x = cells[st]
-        st = _individualize(adj, cells, cell_of, st, (x & -x).bit_length() - 1)
+        levels.append((cells[:], ns[:]))
+        x = cells[ns[0]]
+        _individualize(adj, cells, ns, (x & -x).bit_length() - 1)
         shapes.append([x.bit_count() for x in cells])
     first_leaf = [x.bit_length() - 1 for x in cells]
 
@@ -707,15 +703,15 @@ def _automorphisms(adj: Sequence[int]) -> list:
         stack = [levels[depth] + (w, depth)]
         leaves = 0
         while stack and steps > 0 and leaves < _AUT_LEAF_LIMIT:
-            cells, cell_of, st, v, d = stack.pop()
-            cells, cell_of = cells[:], cell_of[:]
+            cells, ns, v, d = stack.pop()
+            cells, ns = cells[:], ns[:]
             steps -= 1
-            nxt = _individualize(adj, cells, cell_of, st, v)
+            nxt = _individualize(adj, cells, ns, v)
             if [x.bit_count() for x in cells] != shapes[d + 1]:
                 continue
             if nxt >= 0:
                 for u in reversed(list(bits(cells[nxt]))):
-                    stack.append((cells, cell_of, nxt, u, d + 1))
+                    stack.append((cells, ns, u, d + 1))
                 continue
             p = [0] * n
             for u, x in zip(first_leaf, cells):
@@ -728,9 +724,10 @@ def _automorphisms(adj: Sequence[int]) -> list:
     orbit = [1 << u for u in range(n)]  # orbit mask of each vertex under gens
     gens = []
     for depth in range(len(levels) - 1, -1, -1):
-        cells, _, st = levels[depth]
-        v = (cells[st] & -cells[st]).bit_length() - 1
-        for w in bits(cells[st] ^ (1 << v)):
+        cells, ns = levels[depth]
+        x = cells[ns[0]]
+        v = (x & -x).bit_length() - 1
+        for w in bits(x ^ (1 << v)):
             if steps <= 0:
                 return gens
             if (orbit[v] >> w) & 1:

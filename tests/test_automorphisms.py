@@ -1,14 +1,19 @@
 """Automorphism generators and the symmetric search root built on them."""
 
+import hashlib
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from eopack.graph import (
     Graph,
     _automorphisms,
+    _individualize,
+    _refine,
     automorphism_generators,
+    bits,
     complete,
     complete_bipartite,
     cycle,
@@ -18,6 +23,7 @@ from eopack.graph import (
     hypercube,
     is_aut,
     orbit_masks,
+    path,
     random_graph,
 )
 from eopack import invariants
@@ -91,6 +97,84 @@ def test_every_generator_is_an_automorphism(g):
 def test_is_aut_rejects_a_non_automorphism():
     assert is_aut(cycle(5), (1, 2, 3, 4, 0))
     assert not is_aut(Graph.from_edges(3, [(0, 1)]), (0, 2, 1))
+
+
+def test_is_aut_rejects_maps_that_are_not_permutations():
+    # [0, 1, 0] maps both edges of the path onto the edge 01, yet no vertex
+    # maps to 2; a map of another length is no permutation of the vertices
+    assert is_aut(path(3), [2, 1, 0])
+    assert not is_aut(path(3), [0, 1, 0])
+    assert not is_aut(complete(3), (1, 1, 2))
+    assert not is_aut(path(3), [0, 1])
+    assert not is_aut(path(3), [2, 1, 0, 3])
+
+
+def digest_corpus():
+    """Adjacency rows of every graph whose generators the digest below pins."""
+    for n in range(1, 8):
+        for i, g in enumerate(enumerate_graphs(n, dedup=True)):
+            yield relabel(g, i).adj
+    for n in range(1, 41):
+        for seed in range(10):
+            yield random_graph(n, Fraction(1 + seed % 3, 4), seed).adj
+    for d in range(2, 8):
+        yield relabel(hypercube(d), d).adj
+    for d in range(3, 7):
+        for kind in ("eop", "induced_matching"):
+            yield build_conflict_graph(hypercube(d), kind).conflicts
+
+
+def test_generators_are_pinned_by_digest():
+    # 2,319 maps over 1,666 graphs: a faster refinement must return the
+    # same partitions, so the same generators in the same order
+    digest = hashlib.sha256()
+    for rows in digest_corpus():
+        digest.update(repr(_automorphisms(rows)).encode() + b"\n")
+    assert digest.hexdigest() == "a814204f56fb1cd00cb1ed62b7b403f026f239a680ae0c57d62e013a83bed55f"
+
+
+def assert_equitable(adj, cells, ns):
+    # the cells tile 0..n-1 by position, ns lists the non-singleton starts,
+    # and the vertices of each cell agree on their neighbour count in each cell
+    n = len(adj)
+    starts = [s for s, x in enumerate(cells) if x]
+    assert [0] + [s + cells[s].bit_count() for s in starts] == starts + [n]
+    assert sum(cells[s] for s in starts) == (1 << n) - 1
+    assert ns == [s for s in starts if cells[s] & (cells[s] - 1)]
+    for s in ns:
+        for t in starts:
+            assert len({(adj[v] & cells[t]).bit_count() for v in bits(cells[s])}) == 1
+
+
+def refinement_corpus():
+    for n in range(1, 7):
+        for i, g in enumerate(enumerate_graphs(n, dedup=True)):
+            yield relabel(g, i).adj
+    for n in (8, 16, 40):
+        for seed in range(6):
+            yield random_graph(n, Fraction(1 + seed % 3, 4), seed).adj
+    for d in range(2, 6):
+        yield relabel(hypercube(d), d).adj
+    yield petersen().adj
+    yield FRUCHT.adj
+    for kind in ("eop", "induced_matching"):
+        yield build_conflict_graph(relabel(hypercube(4), 4), kind).conflicts
+
+
+@pytest.mark.parametrize("pick", [min, max])
+def test_refinement_is_equitable_after_each_individualization(pick):
+    # down one path of the search tree, individualizing the least or the
+    # greatest vertex of the first non-singleton cell
+    for adj in refinement_corpus():
+        n = len(adj)
+        cells = [(1 << n) - 1] + [0] * (n - 1)
+        ns = [0] if n > 1 else []
+        _refine(adj, cells, ns, [0])
+        assert_equitable(adj, cells, ns)
+        while ns:
+            nxt = _individualize(adj, cells, ns, pick(bits(cells[ns[0]])))
+            assert nxt == (ns[0] if ns else -1)
+            assert_equitable(adj, cells, ns)
 
 
 def graphs_up_to_six_vertices():
