@@ -4,25 +4,27 @@ Edge invariants (induced matching, edge open packing) and vertex packings
 (open, 2-, 3-packing) reduce to maximum independent set on a conflict graph
 whose rows one neighbourhood step, :func:`_reach`, builds, so a single
 exact solver backs every invariant here.  The solver is deterministic:
-it starts from a min-degree greedy incumbent, branches on the unresolved
-vertex of maximum degree (ties to the lowest index), explores the include
-branch first, and prunes with a greedy clique-cover bound that stops as soon
-as it can no longer prune, so witnesses are reproducible.
+it starts from a min-degree greedy incumbent, and every node follows one
+child rule.  A greedy clique cover of the candidates either prunes the node
+or leaves a branch set B uncovered.  The sets S_1 < ... < S_k, by least
+item, are the orbits of the node's automorphism group that meet B (the
+singletons of B under the trivial group); child i includes min S_i and
+excludes S_1..S_(i-1).  A set too large for the cover meets B, so a group
+element carries it into the child of the first S_i it meets.  The children
+are explored in order, so witnesses are reproducible.
 
-Solves of at least ``SYMMETRY_MIN_ITEMS`` items (96) branch over orbits.
-The root lifts automorphisms of the base graph
-(:func:`eopack.graph.automorphism_generators`) to the items; when an item
-orbit is non-trivial, it branches once per orbit: include its least item,
-exclude the orbits before it.  Below such a root, each unpruned node with at
-least ``SYMMETRY_MIN_ITEMS`` candidates does the same with the automorphisms
-of its own conflict subgraph G[rem], until a node finds only singleton
-orbits; that node and its subtree branch plainly.  This is exact, since a
-subproblem's value depends only on G[rem], and it brings ``rho_eo(Q_6)``
-to 2,033 nodes and the code sizes A(8,3) = ``rho_2(Q_8)`` and A(9,4) =
-``rho_3(Q_9)`` within seconds.  The witness is then the first maximum set
-found, still deterministic.  Smaller solves, trivial root groups and
-:func:`enumerate_optimal` (which needs every optimum) branch plainly, so
-their values, witnesses and node counts are unchanged.
+Solves of at least ``SYMMETRY_MIN_ITEMS`` items (96) use symmetry.  The
+root's group lifts automorphisms of the base graph
+(:func:`eopack.graph.automorphism_generators`) to the items; below a root
+with a non-trivial orbit, each unpruned node with at least
+``SYMMETRY_MIN_ITEMS`` candidates uses the automorphisms of its own
+conflict subgraph G[rem], until a node finds only singleton orbits, below
+which the group is trivial.  This is exact, since a subproblem's value
+depends only on G[rem], and it brings ``rho_eo(Q_6)`` to 358 nodes,
+``rho_eo(Q_7)`` to 138,893 and the code sizes A(8,3) = ``rho_2(Q_8)`` and
+A(9,4) = ``rho_3(Q_9)`` to about a second each.  Smaller solves, trivial
+root groups and :func:`enumerate_optimal` (which needs every optimum, and
+reaches each once) use the trivial group.
 """
 
 from __future__ import annotations
@@ -200,21 +202,6 @@ def build_conflict_graph(g: Graph, kind: str) -> ConflictGraph:
 # branch-and-bound maximum independent set core
 # ---------------------------------------------------------------------------
 
-def _branch_vertex(adj: Sequence[int], rem: int) -> int:
-    best_v = -1
-    best_d = -1
-    r = rem
-    while r:
-        low = r & -r
-        v = low.bit_length() - 1
-        r ^= low
-        d = (adj[v] & rem).bit_count()
-        if d > best_d:
-            best_d = d
-            best_v = v
-    return best_v
-
-
 def _greedy_size(count: int, adj: Sequence[int]) -> int:
     """Size of a min-degree greedy independent set (ties to the lowest index)."""
     rem = (1 << count) - 1
@@ -236,25 +223,6 @@ def _greedy_size(count: int, adj: Sequence[int]) -> int:
         rem &= ~(adj[best_v] | (1 << best_v))
         size += 1
     return size
-
-
-def _orbit_frames(adj: Sequence[int], rem: int, size: int, chosen: int, orbits) -> list:
-    """Child frames of orbital branching over the candidates ``rem``, in stack order.
-
-    Frame i includes r_i = min O_i and excludes O_1..O_(i-1) and N[r_i]; a
-    last frame holds the candidates outside every O_i, when there are any.
-    The frames are reversed, so popping them explores O_1 first.
-    """
-    frames = []
-    done = 0
-    for orbit in orbits:
-        r = orbit & -orbit
-        frames.append((rem & ~(done | adj[r.bit_length() - 1] | r), size + 1, chosen | r, True))
-        done |= orbit
-    if rem & ~done:
-        frames.append((rem & ~done, size, chosen, True))
-    frames.reverse()
-    return frames
 
 
 def _candidate_orbits(adj: Sequence[int], rem: int) -> list:
@@ -287,45 +255,43 @@ def _search(
     """Deterministic exact MIS on an explicit stack; returns (size, witnesses, nodes).
 
     The incumbent starts at the size of a min-degree greedy independent set
-    (a pass not counted in ``nodes``).  A node is pruned when a greedy clique
-    cover of its candidates, an upper bound on their independence number, is
-    too small; the cover stops once it is large enough not to prune.  Other
-    nodes branch include-first on :func:`_branch_vertex`.  When maximising a
-    branch must beat the best size so far (or reach the greedy size), and
-    the single witness is the first maximum set in depth-first order.  With
-    ``all_optima`` ties are kept, and the witnesses are every maximum set in
-    depth-first order.  The branching depends only on the candidates and
-    every bound is valid, so the incumbent skips only subtrees that hold no
-    optimum.  Each witness is sorted.
+    (a pass not counted in ``nodes``).  Each node covers its candidates
+    ``rem`` greedily by at most need - 1 cliques, ``need`` being the size a
+    set must reach to count (beat the best so far, or equal it with
+    ``all_optima``).  If the cliques cover ``rem``, the node is pruned: an
+    independent set meets each clique at most once.  Otherwise the
+    uncovered candidates form the branch set B.  The node's group splits
+    B's items into sets S_1 < ... < S_k by least item: the orbits that meet
+    B, and the items of B outside every orbit as singletons.  Child i
+    includes r_i = min S_i and excludes S_1..S_(i-1) and N[r_i], and child
+    1 is explored first.  The witnesses are sorted.
 
-    ``orbits`` are the non-singleton orbits O_1..O_k of a group of
-    automorphisms of ``adj``, as masks; ``all_optima`` ignores them.  The
-    root is then one frame per orbit (:func:`_orbit_frames`): frame i
-    includes r_i = min O_i and excludes O_1..O_(i-1) and N[r_i]; a last
-    frame holds the items outside every O_i.  A maximum set meeting O_i
-    first is mapped by the group onto one holding r_i and still missing
-    O_1..O_(i-1), so some frame holds an optimum (orbital branching,
-    Ostrowski et al., Math. Prog. 126, 2011).
+    This is exact: a set of ``need`` items from ``rem`` cannot fit in the
+    need - 1 cliques, so it meets B.  If S_i is the first set it meets, a
+    group element that fixes every S_j and maps one of its items onto r_i
+    carries it into child i.  Under the trivial group the S_i are the
+    singletons of B (the branch sets of MCQ-style clique solvers, applied
+    to the complement), and each set of ``need`` items is reached once,
+    through its least item of B; so with ``all_optima``, which uses no
+    group, the witnesses are every maximum set in depth-first order.
+    Otherwise the single witness is the first maximum set found.
 
-    Below such a root, every unpruned node with at least
-    ``SYMMETRY_MIN_ITEMS`` candidates branches the same way over the orbits
-    of its own subproblem, the conflict subgraph G[rem]
-    (:func:`_candidate_orbits`).  That is exact too: what the subtree can
-    add depends only on G[rem], so an automorphism of G[rem] maps an
-    optimum of the subtree onto one.  A node whose orbits are all
-    singletons branches plainly, and nothing below it asks again.
+    ``orbits`` are the non-singleton orbits of a group of automorphisms of
+    ``adj``, as masks, and form the root's group.  Below such a root, every
+    unpruned node with at least ``SYMMETRY_MIN_ITEMS`` candidates uses the
+    automorphisms of its own subproblem, the conflict subgraph G[rem]
+    (:func:`_candidate_orbits`; orbital branching, Ostrowski et al., Math.
+    Prog. 126, 2011).  That is exact too: what the subtree can add depends
+    only on G[rem].  A node whose orbits are all singletons, and everything
+    below it, uses the trivial group.
     """
     tie = 0 if all_optima else 1
     best = _greedy_size(count, adj) - tie
     found: list = []
     nodes = 0
     # frames are (remaining candidates, size, chosen vertices, symmetric?),
-    # sets as bitmasks; with orbits, one root frame per orbit
-    full = (1 << count) - 1
-    if orbits and not all_optima:
-        stack = _orbit_frames(adj, full, 0, 0, orbits)
-    else:
-        stack = [(full, 0, 0, False)]
+    # sets as bitmasks
+    stack = [((1 << count) - 1, 0, 0, bool(orbits) and not all_optima)]
     while stack:
         rem, size, chosen, sym = stack.pop()
         nodes += 1
@@ -335,11 +301,11 @@ def _search(
             elif all_optima and size == best:
                 found.append(chosen)
             continue
-        # prune when a clique cover of rem has fewer than ``need`` cliques
+        # cover rem by at most need - 1 greedy cliques; what is left is B
         need = best + tie - size
         cliques = 0
         left = rem
-        while left and cliques < need:
+        while left and cliques < need - 1:
             low = left & -left
             left ^= low
             cand = adj[low.bit_length() - 1] & left
@@ -348,18 +314,28 @@ def _search(
                 left ^= lu
                 cand = (cand ^ lu) & adj[lu.bit_length() - 1]
             cliques += 1
-        if cliques < need:
+        if not left:
             continue
-        if sym and rem.bit_count() >= SYMMETRY_MIN_ITEMS:
-            node_orbits = _candidate_orbits(adj, rem)
-            if node_orbits:
-                stack += _orbit_frames(adj, rem, size, chosen, node_orbits)
-                continue
-            sym = False
-        v = _branch_vertex(adj, rem)
-        bit = 1 << v
-        stack.append((rem & ~bit, size, chosen, sym))
-        stack.append((rem & ~(adj[v] | bit), size + 1, chosen | bit, sym))
+        # the node's group: ``orbits`` at the root (the first node popped)
+        group = ()
+        if sym and nodes == 1:
+            group = orbits
+        elif sym and rem.bit_count() >= SYMMETRY_MIN_ITEMS:
+            group = _candidate_orbits(adj, rem)
+            sym = bool(group)
+        sets = [o for o in group if o & left]
+        for o in sets:
+            left &= ~o
+        sets += [1 << v for v in bits(left)]
+        if group:
+            sets.sort(key=lambda s: s & -s)
+        frames = []
+        done = 0
+        for s in sets:
+            r = s & -s
+            frames.append((rem & ~(done | adj[r.bit_length() - 1] | r), size + 1, chosen | r, sym))
+            done |= s
+        stack += reversed(frames)
     return best, [tuple(bits(c)) for c in found], nodes
 
 

@@ -327,15 +327,17 @@ def test_symmetric_root_matches_plain_search_on_products(kind, g, h, name):
 
 def test_symmetric_root_node_ceiling_on_q6():
     # the plain search needed 499,863 nodes on natural labels, the symmetric
-    # root alone 37,583, orbital branching at every large node 2,033
-    assert rho_eo(hypercube(6), max_items=1000).nodes <= 2_100
+    # root alone 37,583, orbital branching at every large node 2,033, and
+    # with branch sets 358
+    assert rho_eo(hypercube(6), max_items=1000).nodes <= 412
 
 
 def test_induced_matching_node_ceiling_on_q7():
-    # 448 items; the symmetric root alone needed 80,351 nodes
+    # 448 items; the symmetric root alone needed 80,351 nodes, orbital
+    # branching at every large node 2,816, and with branch sets 177
     res = nu_i(hypercube(7), max_items=1000)
     assert res.value == 32
-    assert res.nodes <= 10_000
+    assert res.nodes <= 204
 
 
 def counting_node_automorphisms(monkeypatch):
@@ -419,6 +421,41 @@ def test_node_orbits_are_orbits_of_the_induced_subgraph(monkeypatch, d, name):
     monkeypatch.setattr(invariants, "_candidate_orbits", checked)
     check_symmetric_root(relabel(hypercube(d), 10 * d), name)
     assert seen
+
+
+def mirrored(seed):
+    """Two copies of a random graph G, and a random H joined alike to both.
+
+    Swapping the copies fixes H pointwise, so the group has fixed points.
+    """
+    rng = random.Random(seed)
+    k, h = rng.randint(3, 5), rng.randint(2, 4)
+    g = random_graph(k, Fraction(1, 2), seed)
+    edges = g.edges + tuple((u + k, v + k) for u, v in g.edges)
+    edges += tuple((u + 2 * k, v + 2 * k) for u, v in random_graph(h, Fraction(1, 2), seed + 1).edges)
+    for x in range(2 * k, 2 * k + h):
+        for v in range(k):
+            if rng.random() < 0.3:
+                edges += ((v, x), (v + k, x))
+    return Graph.from_edges(2 * k + h, edges)
+
+
+@pytest.mark.parametrize("name", ["nu_i", "rho_eo", "rho_2"])
+def test_node_orbits_with_fixed_points_match_plain_search(monkeypatch, low_threshold, name):
+    # nodes whose group fixes some of their branch set branch on those
+    # items one at a time, beside the orbits of the others
+    fixed = []
+
+    def recording(adj, rem):
+        out = candidate_orbits(adj, rem)
+        fixed.append(bool(out) and sum(out) != rem)
+        return out
+
+    candidate_orbits = invariants._candidate_orbits
+    monkeypatch.setattr(invariants, "_candidate_orbits", recording)
+    for seed in range(60):
+        check_symmetric_root(mirrored(seed), name)
+    assert any(fixed)
 
 
 def test_orbit_frames_keep_the_items_outside_every_orbit():
