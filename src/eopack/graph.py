@@ -142,14 +142,18 @@ def _bit_string(adj: Sequence[int]) -> str:
     )
 
 
-def _graph_from_bit_string(n: int, s: str) -> Graph:
-    """Inverse of :func:`_bit_string` on a string of n(n-1)/2 bits."""
+def _rows_from_bit_string(n: int, s: str) -> list:
+    """Inverse of :func:`_bit_string` on a string of n(n-1)/2 bits, as symmetric rows."""
     adj = [0] * n
     for j in range(1, n):
         adj[j] = int(s[j * (j - 1) // 2 : j * (j + 1) // 2][::-1], 2)
         for i in bits(adj[j]):
             adj[i] |= 1 << j
-    return Graph(n, adj)
+    return adj
+
+
+def _graph_from_bit_string(n: int, s: str) -> Graph:
+    return Graph(n, _rows_from_bit_string(n, s))
 
 
 def _pack_bits(g: Graph) -> int:
@@ -433,12 +437,19 @@ def canonical_form(g: Graph) -> int:
     """Lexicographically least adjacency bitstring over all vertex orderings.
 
     Branch-and-bound over partial orderings: placing vertex v at position j
-    appends j bits (adjacency of v to the already placed vertices, oldest
-    first); branches whose prefix exceeds the best complete string are cut.
-    Twins (vertices whose neighborhoods agree apart from each other) are
-    interchangeable by an automorphism that fixes every other vertex, so at
-    each position only the first unplaced vertex of a twin class is tried.
-    Intended for small graphs (n <= ~10).
+    appends the j-bit word of v (its adjacency to the already placed
+    vertices, oldest first).  A node extends its prefix only by the cell of
+    unplaced vertices of least word, found with one mask filter per placed
+    vertex: keep the cell's non-neighbours of that vertex if there are any
+    (word bit 0), else keep the cell (word bit 1).  This is exact because
+    every word at depth j has exactly j bits, so for a fixed prefix a child
+    of larger word exceeds every completion of a child of least word.  The
+    node is cut when its extended prefix exceeds the best complete string,
+    and the node at depth n - 1 is a leaf.  Twins (vertices whose
+    neighborhoods agree apart from each other) are interchangeable by an
+    automorphism that fixes every other vertex, so only the first vertex of
+    each twin class in the cell is tried.  Intended for small graphs
+    (n <= ~10).
     """
     return _canonical_bits(g.n, g.adj)
 
@@ -447,46 +458,44 @@ def _canonical_bits(n: int, adj: Sequence[int]) -> int:
     nbits = n * (n - 1) // 2
     if n <= 1:
         return 0
-    twin = list(range(n))
+    head = list(range(n))
+    twins = [0] * n
     for v in range(n):
         for u in range(v):
-            if twin[u] == u and adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
-                twin[v] = u
+            if head[u] == u and adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                head[v] = u
                 break
+        twins[head[v]] |= 1 << v
+    for v in range(n):
+        twins[v] = twins[head[v]]  # the twin class of v
+    full = (1 << n) - 1
+    non_rows = [full ^ a for a in adj]
     best = (1 << nbits) - 1  # all-ones string is an upper bound for any graph
-    placed = [0] * n
 
-    def extend(depth: int, used: int, prefix: int, done: int):
+    def extend(depth: int, free: int, prefix: int, done: int, non: tuple):
+        # free: unplaced vertices; non: non-neighbour rows of the placed ones, oldest first
         nonlocal best
-        if depth == n:
-            if prefix < best:
-                best = prefix
+        cell, word = free, 0
+        for row in non:
+            word <<= 1
+            if cell & row:
+                cell &= row
+            else:
+                word |= 1
+        prefix = (prefix << depth) | word
+        done += depth
+        if prefix > best >> (nbits - done):
             return
-        cands = []
-        for v in range(n):
-            if (used >> v) & 1:
-                continue
-            word = 0
-            row = adj[v]
-            for i in range(depth):
-                word = (word << 1) | ((row >> placed[i]) & 1)
-            cands.append((word, v))
-        cands.sort()
-        tried = 0
-        for word, v in cands:
-            cls = 1 << twin[v]
-            if tried & cls:
-                continue
-            tried |= cls
-            new_prefix = (prefix << depth) | word
-            new_done = done + depth
-            if new_prefix > (best >> (nbits - new_done)):
-                continue
-            placed[depth] = v
-            extend(depth + 1, used | (1 << v), new_prefix, new_done)
-        placed[depth] = 0
+        if depth == n - 1:
+            best = prefix
+            return
+        while cell:
+            low = cell & -cell
+            v = low.bit_length() - 1
+            cell &= ~twins[v]
+            extend(depth + 1, free ^ low, prefix, done, non + (non_rows[v],))
 
-    extend(0, 0, 0, 0)
+    extend(0, full, 0, 0, ())
     return best
 
 
@@ -509,9 +518,12 @@ def _maps_edges(adj: Sequence[int], p: Sequence[int]) -> bool:
     # :func:`is_aut` for a permutation p, on symmetric rows, each edge uv (u < v) once
     for u, row in enumerate(adj):
         image = adj[p[u]]
-        for v in bits(row >> (u + 1) << (u + 1)):
-            if not (image >> p[v]) & 1:
+        rest = row >> (u + 1) << (u + 1)
+        while rest:
+            low = rest & -rest
+            if not (image >> p[low.bit_length() - 1]) & 1:
                 return False
+            rest ^= low
     return True
 
 
@@ -802,7 +814,7 @@ def enumerate_graphs(n: int, dedup: bool = False) -> Iterator[Graph]:
             new = size - 1
             grown = set()
             for form in forms:
-                base = _graph_from_bits(new, form).adj
+                base = _rows_from_bit_string(new, format(form, f"0{new * (new - 1) // 2}b"))
                 for nbrs in _max_key_extensions(base):
                     adj = list(base)
                     for v in bits(nbrs):

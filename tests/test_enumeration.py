@@ -97,6 +97,45 @@ def test_canonical_form_is_invariant_under_relabeling():
     assert canonical_graph(relabeled) == canonical_graph(g)
 
 
+def test_canonical_form_is_the_least_relabeling_of_every_graph_on_five_vertices():
+    from itertools import combinations, permutations
+
+    from eopack.graph import _pack_bits
+
+    n = 5
+    pairs = list(combinations(range(n), 2))
+    # weight[u][v]: the packed bit of pair {u, v}, column-major, first pair most significant
+    weight = [[0] * n for _ in range(n)]
+    for k, (i, j) in enumerate(sorted(pairs, key=lambda e: (e[1], e[0]))):
+        weight[i][j] = weight[j][i] = 1 << (len(pairs) - 1 - k)
+    perms = list(permutations(range(n)))
+    graphs = list(enumerate_graphs(n))
+    assert len(graphs) == 1 << len(pairs) and len(perms) == 120
+    for g in graphs:
+        assert sum(weight[u][v] for u, v in g.edges) == _pack_bits(g)
+        least = min(sum(weight[p[u]][p[v]] for u, v in g.edges) for p in perms)
+        assert canonical_form(g) == least, g.edges
+
+
+def test_canonical_form_is_invariant_under_random_relabelings():
+    import random
+
+    rng = random.Random(2024)
+    for seed in range(48):
+        n = 7 + seed % 4
+        g = random_graph(n, ("1/4", "1/2", "3/4")[seed % 3], seed=900 + seed)
+        form, canon = canonical_form(g), canonical_graph(g)
+        assert sorted(canon.degree(v) for v in range(n)) == sorted(
+            g.degree(v) for v in range(n)
+        )
+        for _ in range(4):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            relabeled = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges])
+            assert canonical_form(relabeled) == form, (g.edges, perm)
+            assert canonical_graph(relabeled) == canon
+
+
 def test_labeled_tree_counts():
     assert sum(1 for _ in enumerate_trees(2)) == 1
     assert sum(1 for _ in enumerate_trees(4)) == 16
