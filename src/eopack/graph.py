@@ -134,7 +134,7 @@ def _bit_string(adj: Sequence[int]) -> str:
     """Upper-triangle adjacency as a "0"/"1" string in graph6 pair order.
 
     Pairs are column-major, x(0,1) x(0,2) x(1,2) x(0,3) ..., so column j is
-    the low j bits of ``adj[j]``, lowest vertex first.  :func:`_canonical_bits`
+    the low j bits of ``adj[j]``, lowest vertex first.  :func:`_smaller_strings`
     emits its strings in the same order, first pair most significant.
     """
     return "".join(
@@ -436,6 +436,24 @@ def bipartition(g: Graph) -> Optional[tuple]:
 def canonical_form(g: Graph) -> int:
     """Lexicographically least adjacency bitstring over all vertex orderings.
 
+    The last string yielded by :func:`_smaller_strings` from a bound above
+    every string, or 0 when g has no vertices.  Intended for small graphs
+    (n <= ~10).
+    """
+    form = 0
+    for form in _smaller_strings(g.n, g.adj, 1 << (g.n * (g.n - 1) // 2)):
+        pass
+    return form
+
+
+def _smaller_strings(n: int, adj: Sequence[int], best: int) -> Iterator[int]:
+    """Adjacency strings of orderings of the rows ``adj``, each below the last.
+
+    Yields a string only when it is strictly below ``best``, the bound
+    given or the last string yielded, so the stream strictly decreases and
+    is empty exactly when no vertex ordering beats ``best``; from a bound
+    above every string it ends at the canonical form.
+
     Branch-and-bound over partial orderings: placing vertex v at position j
     appends the j-bit word of v (its adjacency to the already placed
     vertices, oldest first).  A node extends its prefix only by the cell of
@@ -444,20 +462,13 @@ def canonical_form(g: Graph) -> int:
     (word bit 0), else keep the cell (word bit 1).  This is exact because
     every word at depth j has exactly j bits, so for a fixed prefix a child
     of larger word exceeds every completion of a child of least word.  The
-    node is cut when its extended prefix exceeds the best complete string,
-    and the node at depth n - 1 is a leaf.  Twins (vertices whose
-    neighborhoods agree apart from each other) are interchangeable by an
-    automorphism that fixes every other vertex, so only the first vertex of
-    each twin class in the cell is tried.  Intended for small graphs
-    (n <= ~10).
+    node is cut when its extended prefix exceeds that of ``best``, and the
+    node at depth n - 1 is a leaf.  Twins (vertices whose neighborhoods
+    agree apart from each other) are interchangeable by an automorphism that
+    fixes every other vertex, so only the first vertex of each twin class in
+    the cell is tried.
     """
-    return _canonical_bits(g.n, g.adj)
-
-
-def _canonical_bits(n: int, adj: Sequence[int]) -> int:
     nbits = n * (n - 1) // 2
-    if n <= 1:
-        return 0
     head = list(range(n))
     twins = [0] * n
     for v in range(n):
@@ -470,7 +481,6 @@ def _canonical_bits(n: int, adj: Sequence[int]) -> int:
         twins[v] = twins[head[v]]  # the twin class of v
     full = (1 << n) - 1
     non_rows = [full ^ a for a in adj]
-    best = (1 << nbits) - 1  # all-ones string is an upper bound for any graph
 
     def extend(depth: int, free: int, prefix: int, done: int, non: tuple):
         # free: unplaced vertices; non: non-neighbour rows of the placed ones, oldest first
@@ -487,16 +497,17 @@ def _canonical_bits(n: int, adj: Sequence[int]) -> int:
         if prefix > best >> (nbits - done):
             return
         if depth == n - 1:
-            best = prefix
+            if prefix < best:
+                best = prefix
+                yield prefix
             return
         while cell:
             low = cell & -cell
             v = low.bit_length() - 1
             cell &= ~twins[v]
-            extend(depth + 1, free ^ low, prefix, done, non + (non_rows[v],))
+            yield from extend(depth + 1, free ^ low, prefix, done, non + (non_rows[v],))
 
-    extend(0, full, 0, 0, ())
-    return best
+    yield from extend(0, full, 0, 0, ())
 
 
 # ---------------------------------------------------------------------------
@@ -759,69 +770,39 @@ def canonical_graph(g: Graph) -> Graph:
     return _graph_from_bits(g.n, canonical_form(g))
 
 
-def _max_key_extensions(adj: Sequence[int]) -> Iterator[int]:
-    """Neighborhoods ``nbrs`` of a new vertex whose key is greatest in the child.
-
-    Keys are (degree, sum of neighbor degrees) in the child, compared
-    lexicographically; ties with the new vertex are allowed.  A parent
-    vertex v has child degree ``deg[v] + (v in nbrs)``, so with
-    ``d = |nbrs|`` the new vertex wins on degree exactly when no parent
-    vertex has degree above d, and none in ``nbrs`` has degree d; only the
-    vertices tied with it on degree need their neighbor sums compared.
-    """
-    deg = [a.bit_count() for a in adj]
-    at = [0] * (len(adj) + 2)  # at[k]: parent vertices of degree k
-    for v, k in enumerate(deg):
-        at[k] |= 1 << v
-    nsum = [sum(deg[w] for w in bits(a)) for a in adj]
-    top = max(deg)
-    for nbrs in range(1 << len(adj)):
-        d = nbrs.bit_count()
-        if d < top or nbrs & at[d]:
-            continue
-        ties = at[d] | (at[d - 1] & nbrs)  # at[-1] is 0, and so is nbrs when d = 0
-        if ties:
-            total = d + sum(deg[v] for v in bits(nbrs))
-            if any(
-                nsum[v] + (adj[v] & nbrs).bit_count() + d * ((nbrs >> v) & 1) > total
-                for v in bits(ties)
-            ):
-                continue
-        yield nbrs
-
-
 def enumerate_graphs(n: int, dedup: bool = False) -> Iterator[Graph]:
     """All labeled graphs on n vertices, or one representative per class.
 
-    The deduped stream (1 <= n <= 8) builds each order from the one below by
-    canonical deletion (McKay, *Isomorph-free exhaustive generation*, 1998):
-    a new vertex is joined to a neighborhood of a smaller representative
-    only if it gets the greatest key in the child, where a vertex's key is
-    its degree, then the sum of its neighbors' degrees (see
-    :func:`_max_key_extensions`).  This loses no class: deleting a vertex u
-    of greatest key from a graph C leaves a graph isomorphic to some smaller
-    representative P, the isomorphism carries N(u) onto some neighborhood
-    of P, and since the key is an isomorphism invariant, the new vertex of
-    that child has the greatest key too.  Children are still identified by
-    :func:`canonical_form`, so representatives are the canonical forms (the
-    orbit minima), yielded in ascending order.
+    The deduped stream (1 <= n <= 8) is Read's orderly generation (*Every
+    one a winner*, 1978) on canonical forms: a string on n vertices is kept
+    when it is a canonical form on n - 1 vertices followed by one new
+    column and :func:`_smaller_strings` finds no ordering that beats it.
+    This is exact.  Dropping the last column of a canonical string leaves
+    the string of the first n - 1 vertices placed, which is at most the
+    prefix of every other ordering, so it is the canonical form of that
+    subgraph: each class extends exactly one parent, by exactly one column.
+    Only columns from twice the parent's last column up are tried: swapping
+    the last two vertices changes only the last two columns, the canonical
+    string is at most the swapped one, so the new column shifted right one
+    bit is at least the parent's last column.  Parents and columns go up in
+    ascending order, so the canonical forms come out ascending.
     """
     if dedup:
         if not 1 <= n <= 8:
             raise GraphError("dedup enumeration supports 1 <= n <= 8")
         forms = [0]
-        for size in range(2, n + 1):
-            new = size - 1
-            grown = set()
+        for new in range(1, n):
+            kept = []
             for form in forms:
                 base = _rows_from_bit_string(new, format(form, f"0{new * (new - 1) // 2}b"))
-                for nbrs in _max_key_extensions(base):
-                    adj = list(base)
-                    for v in bits(nbrs):
-                        adj[v] |= 1 << new
-                    adj.append(nbrs)
-                    grown.add(_canonical_bits(size, adj))
-            forms = sorted(grown)
+                last = form & ((1 << (new - 1)) - 1)
+                for col in range(last << 1, 1 << new):
+                    nbrs = int(format(col, f"0{new}b")[::-1], 2)  # bit i: joined to vertex i
+                    adj = [a | ((nbrs >> v) & 1) << new for v, a in enumerate(base)] + [nbrs]
+                    cand = form << new | col
+                    if next(_smaller_strings(new + 1, adj, cand), None) is None:
+                        kept.append(cand)
+            forms = kept
         for form in forms:
             yield _graph_from_bits(n, form)
     else:

@@ -381,9 +381,11 @@ def max_independent_set(
     edge_items = isinstance(c, ConflictGraph)
     if edge_items:
         count, adj, cap, g = c.item_count, c.conflicts, _item_cap(max_items), c.base
+        unit = "items"
     else:
         count, adj, cap, g = c.n, c.adj, _vertex_cap(max_items), c
-    _check_cap(count, cap, "items")
+        unit = "vertices"
+    _check_cap(count, cap, unit)
     return _solve("mis", count, adj, g, edge_items)
 
 

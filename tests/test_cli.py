@@ -53,6 +53,15 @@ def test_capacity_exit_code(capsys):
     assert "capacity" in err
 
 
+@pytest.mark.parametrize("invariant", ["alpha", "beta", "rho-o"])
+def test_vertex_cap_message_counts_vertices(capsys, monkeypatch, invariant):
+    monkeypatch.delenv("EOPACK_MAX_VERTICES", raising=False)
+    g6 = write_graph6(path(65))
+    code, _, err = run_cli(capsys, "compute", "--invariant", invariant, "--g6", g6)
+    assert code == 3
+    assert "65 vertices exceed the exact-solver cap of 64" in err
+
+
 def test_product_roundtrip(capsys):
     g6 = write_graph6(path(2))
     h6 = write_graph6(path(3))

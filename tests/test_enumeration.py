@@ -5,9 +5,9 @@ import pytest
 from eopack.graph import (
     Graph,
     GraphError,
-    _max_key_extensions,
+    _pack_bits,
+    _smaller_strings,
     _tree_code,
-    bits,
     canonical_form,
     canonical_graph,
     complete,
@@ -63,21 +63,41 @@ def test_unlabeled_forms_and_order_are_pinned():
         assert hashlib.sha256(",".join(map(str, forms)).encode()).hexdigest() == want
 
 
-def test_max_key_extensions_keep_a_vertex_of_greatest_key():
-    # every kept neighborhood gives its new vertex the greatest
-    # (degree, neighbor degree sum) key, and every class of the child order
-    # is reached from some kept one
-    def key(adj, v):
-        return adj[v].bit_count(), sum(adj[w].bit_count() for w in bits(adj[v]))
+def test_each_form_extends_a_form_one_vertex_smaller_by_one_column():
+    # orderly generation: the forms are the classes of all one-vertex
+    # extensions of the smaller forms; a form less its last column is a
+    # form, and the column is at least twice that parent's last column
+    parents = list(enumerate_graphs(1, dedup=True))
+    for n in range(2, 8):
+        new = n - 1
+        children = {
+            canonical_form(Graph(n, [a | (nbrs >> v & 1) << new for v, a in enumerate(p.adj)]
+                                 + [nbrs]))
+            for p in parents
+            for nbrs in range(1 << new)
+        }
+        graphs = list(enumerate_graphs(n, dedup=True))
+        forms = [canonical_form(g) for g in graphs]
+        assert forms == sorted(children)
+        parent_forms = {canonical_form(p) for p in parents}
+        for form in forms:
+            parent, col = form >> new, form & ((1 << new) - 1)
+            assert parent in parent_forms
+            assert col >= (parent & ((1 << (new - 1)) - 1)) << 1
+        parents = graphs
 
-    for n in range(1, 6):
-        reached = set()
-        for g in enumerate_graphs(n, dedup=True):
-            for nbrs in _max_key_extensions(g.adj):
-                adj = [a | ((nbrs >> v) & 1) << n for v, a in enumerate(g.adj)] + [nbrs]
-                assert key(adj, n) == max(key(adj, v) for v in range(n + 1))
-                reached.add(canonical_form(Graph(n + 1, adj)))
-        assert reached == {canonical_form(g) for g in enumerate_graphs(n + 1, dedup=True)}
+
+def test_smaller_strings_is_empty_exactly_on_canonical_strings():
+    for n in (4, 5):
+        nbits = n * (n - 1) // 2
+        graphs = list(enumerate_graphs(n))
+        assert len(graphs) == 1 << nbits
+        for g in graphs:
+            packed, form = _pack_bits(g), canonical_form(g)
+            assert (next(_smaller_strings(n, g.adj, packed), None) is None) == (packed == form)
+            down = list(_smaller_strings(n, g.adj, 1 << nbits))
+            assert down and down[-1] == form
+            assert all(a > b for a, b in zip(down, down[1:]))
 
 
 def test_canonical_form_matches_orbit_minimum():
@@ -99,8 +119,6 @@ def test_canonical_form_is_invariant_under_relabeling():
 
 def test_canonical_form_is_the_least_relabeling_of_every_graph_on_five_vertices():
     from itertools import combinations, permutations
-
-    from eopack.graph import _pack_bits
 
     n = 5
     pairs = list(combinations(range(n), 2))
@@ -182,8 +200,6 @@ def test_random_graph_probability_range():
 def test_canonical_form_matches_brute_force_permutation_minimum():
     from itertools import permutations
 
-    from eopack.graph import _pack_bits
-
     def brute_min(g):
         best = None
         for perm in permutations(range(g.n)):
@@ -228,7 +244,7 @@ def test_canonical_form_with_twins_matches_brute_force():
     # of them against the minimum over every relabeling
     from itertools import permutations
 
-    from eopack.graph import _pack_bits, complete_bipartite, empty_graph, star
+    from eopack.graph import complete_bipartite, empty_graph, star
 
     def brute_min(g):
         return min(
