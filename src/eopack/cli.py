@@ -2,10 +2,10 @@
 
 Exit codes: 0 success (all checks passed), 1 check failures, check errors,
 an invalid witness or an unverified table row, 2 usage errors (including a
-malformed EOPACK_MAX_* value, a negative --max-items, --max-n or --budget
-and an unreadable or unwritable file), 3 solver capacity exceeded.  The
-default solver caps can be overridden with the EOPACK_MAX_ITEMS and
-EOPACK_MAX_VERTICES environment variables.
+malformed EOPACK_MAX_* value, a negative --max-items, --max-n or --budget, a
+nan --budget and an unreadable or unwritable file), 3 solver capacity
+exceeded.  The default solver caps can be overridden with the
+EOPACK_MAX_ITEMS and EOPACK_MAX_VERTICES environment variables.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ def _format_witness(g: Graph, w, edge_valued: bool) -> str:
 
 
 def _require_nonnegative(flag: str, value) -> None:
-    if value is not None and value < 0:
+    # "not >= 0" also refuses nan, which compares false with every number
+    if value is not None and not value >= 0:
         kind = "number" if isinstance(value, float) else "integer"
         raise GraphError(f"{flag} must be a nonnegative {kind}, got {value}")
 

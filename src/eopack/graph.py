@@ -54,7 +54,7 @@ class Graph:
                 rest ^= low
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(adj))
-        object.__setattr__(self, "edges", tuple(sorted(edges)))
+        object.__setattr__(self, "edges", tuple(edges))  # already sorted: by v, then u
         object.__setattr__(
             self, "edge_index", {e: i for i, e in enumerate(self.edges)}
         )
@@ -128,6 +128,8 @@ def bits(mask: int) -> Iterator[int]:
 # (leading '~' marks, 6-bit characters, orders below this bound) of the order
 # field; the first row that fits n is the one written, any row is read
 _G6_ORDER_FIELDS = ((0, 1, 63), (1, 3, 1 << 18), (2, 6, 1 << 36))
+# graph6 character code -> its six bits as "0"/"1" text, for str.translate
+_G6_SIX_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
 
 
 def _bit_string(adj: Sequence[int]) -> str:
@@ -144,9 +146,10 @@ def _bit_string(adj: Sequence[int]) -> str:
 
 def _rows_from_bit_string(n: int, s: str) -> list:
     """Inverse of :func:`_bit_string` on a string of n(n-1)/2 bits, as symmetric rows."""
+    r, end = s[::-1], len(s)  # column j, s[j(j-1)/2 : j(j+1)/2] reversed, is a slice of r
     adj = [0] * n
     for j in range(1, n):
-        adj[j] = int(s[j * (j - 1) // 2 : j * (j + 1) // 2][::-1], 2)
+        adj[j] = int(r[end - j * (j + 1) // 2 : end - j * (j - 1) // 2], 2)
         for i in bits(adj[j]):
             adj[i] |= 1 << j
     return adj
@@ -183,11 +186,12 @@ def parse_graph6(text: str) -> Graph:
         raise GraphError("empty graph6 string")
 
     def six_bits(lo: int, hi: int) -> str:
-        """``data[lo:hi]`` as a "0"/"1" string, six bits per character."""
-        for k in range(lo, hi):
-            if not 63 <= data[k] <= 126:
-                raise GraphError(f"out-of-range character at byte {k}")
-        return "".join(format(c - 63, "06b") for c in data[lo:hi])
+        """``s[lo:hi]`` as a "0"/"1" string, six bits per character."""
+        out = s[lo:hi].translate(_G6_SIX_BITS)
+        if len(out) != 6 * (hi - lo):  # a character outside the table stays one character
+            k = next(k for k in range(lo, hi) if not 63 <= data[k] <= 126)
+            raise GraphError(f"out-of-range character at byte {k}")
+        return out
 
     marks = 2 if data.startswith(b"~~", start) else 1 if data.startswith(b"~", start) else 0
     pos = start + marks + _G6_ORDER_FIELDS[marks][1]

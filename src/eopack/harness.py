@@ -19,6 +19,9 @@ partial run is reported as ``skipped``: a check never passes on a partial run.
 
 from __future__ import annotations
 
+import os
+import sys
+import threading
 import time
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
@@ -120,6 +123,8 @@ def _jsonable(x):
 
 # check id -> Check, in declaration order
 REGISTRY: dict = {}
+# run_suite runs a suite in process until this many seconds, about the pool's start-up cost
+_SERIAL_S = 0.05
 
 
 def _check(id: str, citation: str, corpus: str, budget_s: float):
@@ -847,20 +852,44 @@ def run_check(
     )
 
 
+def _workers(n_checks: int) -> int:
+    """One process per available CPU for ``n_checks`` checks; 1 without ``fork``, with a
+    second thread alive, in a daemonic worker (which may not have children) or with
+    ``run_check`` rebound by a tracer (whose records would stay in the workers)."""
+    mp = sys.modules.get("multiprocessing")
+    if not hasattr(os, "fork") or threading.active_count() > 1 or run_check.__module__ != __name__:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return 1 if mp and mp.current_process().daemon else min(n_checks, cpus or 1)
+
+
 def run_suite(
     name_filter: str = "",
     budget: Optional[float] = None,
     seed: int = 0,
     max_n: Optional[int] = None,
 ) -> tuple:
-    """Run all checks whose id or corpus contains the filter.
+    """Run all checks whose id or corpus contains the filter; returns (reports, summary).
 
-    Returns (reports, summary).
+    Checks run in process for ``_SERIAL_S``, then in forked workers (:func:`_workers`),
+    timing their own ``wall_ms``; reports in registry order, ``error`` if a worker died.
     """
-    reports = [
-        run_check(c.id, budget=budget, seed=seed, max_n=max_n)
-        for c in list_checks(name_filter)
-    ]
+    checks = list_checks(name_filter)
+    calls = [(c.id, budget, seed, max_n) for c in checks]
+    reports, start = [], time.monotonic()
+    while calls and (time.monotonic() - start < _SERIAL_S or _workers(len(calls)) <= 1):
+        reports.append(run_check(*calls.pop(0)))
+    if calls:
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+        from multiprocessing import get_context
+        with ProcessPoolExecutor(_workers(len(calls)), mp_context=get_context("fork")) as pool:
+            futures = [pool.submit(run_check, *call) for call in calls]
+        for c, future in zip(checks[len(reports) :], futures):
+            try:
+                reports.append(future.result())
+            except BrokenExecutor as exc:  # the worker running it died
+                error = f"{type(exc).__name__}: {exc}"
+                reports.append(CheckReport(c.id, c.citation, 0, [], 0, "error", error=error))
     summary = {
         "total": len(reports),
         "pass": sum(r.status == "pass" for r in reports),

@@ -354,6 +354,7 @@ def test_compute_file_with_crlf_lines(capsys, tmp_path):
         (("check", "--max-n", "-2"), "--max-n"),
         (("check", "--budget", "-1"), "--budget"),
         (("table", "--name", "hypercubes", "--max-n", "-3"), "--max-n"),
+        (("check", "--suite", "spider-eq", "--budget", "nan"), "--budget"),
     ],
 )
 def test_negative_size_flags_are_usage_errors(capsys, tmp_path, argv, flag):

@@ -1,5 +1,14 @@
+import concurrent.futures
 import dataclasses
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
+import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -308,3 +317,178 @@ def test_zero_budget_ends_each_runner_at_its_first_gate():
     want = {cid: ("skipped", 0, 0) for cid in ALL_CHECK_IDS}
     # spanning-incomparability's trailing K_5 vs C_5 record must not run either
     assert _outcomes(budget=0) == want
+
+
+# ---------------------------------------------------------------------------
+# the worker pool: each test forces a path through the worker-count helper
+# ---------------------------------------------------------------------------
+
+
+def _force_workers(monkeypatch, workers: int) -> None:
+    monkeypatch.setattr(harness, "_workers", lambda n_checks: min(n_checks, workers))
+    monkeypatch.setattr(harness, "_SERIAL_S", 0)
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"max_n": 3}], ids=["full", "max_n=3"])
+def test_pooled_and_serial_suites_are_byte_identical(monkeypatch, kwargs):
+    texts = []
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        texts.append(json.dumps(suite_json(*run_suite(seed=0, **kwargs), with_timing=False)))
+    assert texts[0] == texts[1]
+
+
+def test_pooled_reports_come_back_in_registry_order(monkeypatch):
+    def slow(run):
+        time.sleep(0.5)  # the next check, in the other worker, ends first
+        yield ["x"], 1, 1
+
+    _patch_runner(monkeypatch, slow)
+    _force_workers(monkeypatch, 2)
+    reports, _ = run_suite("lex-nu", max_n=2)
+    assert [(r.id, r.status) for r in reports] == [
+        ("lex-nu-equality", "pass"),
+        ("lex-nu-remark", "pass"),
+    ]
+    assert reports[0].wall_ms >= 500
+
+
+def test_no_worker_outlives_the_suite(monkeypatch):
+    _force_workers(monkeypatch, 2)
+    reports, _ = run_suite("lex", max_n=2)
+    assert len(reports) > 2
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers, name_filter", [(1, "lex"), (2, "spider-eq")])
+def test_one_worker_or_one_check_runs_without_a_pool(monkeypatch, workers, name_filter):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was created")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    _force_workers(monkeypatch, workers)
+    _, summary = run_suite(name_filter, max_n=2)
+    assert summary["pass"] == summary["total"] > 0
+
+
+def test_a_dead_worker_errors_its_checks_and_the_suite_returns(monkeypatch):
+    parent = os.getpid()
+
+    def dies(run):
+        if os.getpid() == parent:
+            raise AssertionError("ran in the parent process")
+        time.sleep(0.3)  # let the other worker finish the rest first
+        os._exit(1)
+        yield
+
+    _force_workers(monkeypatch, 2)
+    before, _ = run_suite("lex", max_n=2)
+    _patch_runner(monkeypatch, dies)
+    reports, summary = run_suite("lex", max_n=2)
+    assert multiprocessing.active_children() == []
+    assert [r.id for r in reports] == [r.id for r in before]
+    for old, new in zip(before, reports):
+        if new.status == "error":  # the dead worker's check, or one lost with it
+            assert new.error.startswith("BrokenProcessPool: ")
+            assert (new.instances_run, new.failures) == (0, [])
+        else:
+            assert report_json(new, with_timing=False) == report_json(old, with_timing=False)
+    assert reports[0].id == "lex-nu-equality" and reports[0].status == "error"
+    assert summary["error"] == sum(r.status == "error" for r in reports) >= 1
+    assert summary["total"] == len(before)
+
+
+_PRINT_THEN_SUITE = """
+from eopack import harness
+print("printed before the suite")
+harness._workers = lambda n_checks: min(n_checks, 2)
+harness._SERIAL_S = 0
+reports, _ = harness.run_suite("lex-nu", max_n=2)
+assert [r.status for r in reports] == ["pass", "pass"]
+"""
+
+
+def test_a_line_printed_before_the_suite_comes_out_once():
+    src = str(Path(harness.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # a buffered stdout, so that a fork before a flush would copy the line
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _PRINT_THEN_SUITE],
+        capture_output=True,
+        text=True,
+        env=dict(env, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "printed before the suite\n"
+
+
+# ---------------------------------------------------------------------------
+# when the pool is not used, whatever the number of CPUs
+# ---------------------------------------------------------------------------
+
+
+def _two_cpus_no_pool(monkeypatch) -> None:
+    """Two available CPUs, no serial start, and a pool that fails the test if made."""
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was created")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(harness, "_SERIAL_S", 0)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+
+
+def test_two_cpus_give_two_workers(monkeypatch):
+    _two_cpus_no_pool(monkeypatch)
+    assert [harness._workers(n) for n in (1, 2, 5)] == [1, 2, 2]
+
+
+def test_a_suite_within_the_serial_start_makes_no_pool(monkeypatch):
+    _two_cpus_no_pool(monkeypatch)
+    monkeypatch.setattr(harness, "_SERIAL_S", 60)
+    _, summary = run_suite("lex", max_n=2)
+    assert summary["pass"] == summary["total"] > 2
+
+
+def test_a_second_thread_keeps_the_suite_in_process(monkeypatch):
+    _two_cpus_no_pool(monkeypatch)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # Python 3.12 warns on a fork with threads
+            _, summary = run_suite("lex", max_n=2)
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert summary["pass"] == summary["total"] > 2
+
+
+def test_a_rebound_run_check_runs_in_process(monkeypatch):
+    _two_cpus_no_pool(monkeypatch)
+    seen = []
+
+    def traced(check_id, *args):
+        seen.append((check_id, os.getpid()))
+        return run_check(check_id, *args)
+
+    monkeypatch.setattr(harness, "run_check", traced)
+    reports, _ = run_suite("lex", max_n=2)
+    assert seen == [(r.id, os.getpid()) for r in reports] and len(seen) > 2
+
+
+def _suite_statuses() -> list:
+    return [r.status for r in run_suite("lex", max_n=2)[0]]
+
+
+def test_a_suite_in_a_daemonic_worker_runs_in_process(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(harness, "_SERIAL_S", 0)
+    # a daemonic process may not start children, so a pool there would raise
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        statuses = pool.apply_async(_suite_statuses).get(timeout=120)
+    assert statuses == ["pass"] * len(statuses) and len(statuses) > 2

@@ -9,7 +9,8 @@ import eopack
 # Import the package, run a small suite and one CLI request, and report every
 # top-level module that this loaded and that is neither eopack nor part of the
 # standard library.  Modules that were loaded before the import (site hooks)
-# are not counted.
+# are not counted, and neither are aliases of ``__main__`` (multiprocessing
+# adds ``__mp_main__``), which name the running script, not an import.
 _SCRIPT = """
 import json, sys
 before = set(sys.modules)
@@ -17,7 +18,9 @@ import eopack, eopack.cli
 from eopack import cli, harness
 harness.run_suite(max_n=2)
 cli.main(["compute", "--invariant", "nu-i", "--g6", "Bw"])
-added = {name.partition(".")[0] for name in set(sys.modules) - before}
+main = sys.modules["__main__"]
+loaded = [name for name in set(sys.modules) - before if sys.modules[name] is not main]
+added = {name.partition(".")[0] for name in loaded}
 print(json.dumps(sorted(m for m in added if m != "eopack" and m not in sys.stdlib_module_names)))
 """
 
