@@ -106,40 +106,40 @@ def _cmd_product(args) -> int:
     return EXIT_OK
 
 
-# --name -> (construction on the factors --g and --h, witness kind, the flag
-# that gives its one further argument)
-_FACTOR_WITNESSES = {
-    "lex-im": (constructions.lex_im_witness, "induced_matching", None),
-    "lex-eop": (constructions.lex_eop_witness, "eop", "variant"),
-    "direct-im": (constructions.direct_im_witness, "induced_matching", None),
-    "direct-eop": (constructions.direct_eop_witness, "eop", None),
-    "box-eop": (constructions.box_eop_witness, "eop", "product_kind"),
-    "rooted-im": (constructions.rooted_im_witness, "induced_matching", "root"),
+def _bipartite_eop(g: Graph) -> tuple:
+    return g, constructions.bipartite_eop_witness(g)
+
+
+def _hamming_code(k: int) -> tuple:
+    code = constructions.hamming_perfect_code(k)  # rejects a bad k before Q_{2^k-1} is built
+    return hypercube(2 ** k - 1), code
+
+
+# --name -> (construction returning (host, witness), the flags it reads in
+# order, witness kind, k); once every flag is present, the graph6 ones
+# (--g, --h, --g6) are parsed
+_WITNESSES = {
+    "lex-im": (constructions.lex_im_witness, ("g", "h"), "induced_matching", None),
+    "lex-eop": (constructions.lex_eop_witness, ("g", "h", "variant"), "eop", None),
+    "direct-im": (constructions.direct_im_witness, ("g", "h"), "induced_matching", None),
+    "direct-eop": (constructions.direct_eop_witness, ("g", "h"), "eop", None),
+    "box-eop": (constructions.box_eop_witness, ("g", "h", "product_kind"), "eop", None),
+    "rooted-im": (constructions.rooted_im_witness, ("g", "h", "root"), "induced_matching", None),
+    "bipartite-eop": (_bipartite_eop, ("g6",), "eop", None),
+    "prism-3packing": (constructions.prism_3packing_witness, ("g6",), "k_packing", 3),
+    "hamming-code": (_hamming_code, ("k",), "perfect_code", None),
+    "hypercube-eop": (constructions.hypercube_eop_witness, ("k",), "eop", None),
 }
 
 
 def _witness_instance(args) -> tuple:
     """(host graph, witness, witness kind, k) of the named construction."""
-    name = args.name
-    if name in _FACTOR_WITNESSES:
-        build, kind, flag = _FACTOR_WITNESSES[name]
-        if args.g is None or args.h is None:
-            raise GraphError(f"{name} needs --g and --h")
-        g, h = parse_graph6(args.g), parse_graph6(args.h)
-        p, w = build(g, h, *([] if flag is None else [_needs(args, flag, name)]))
-        return p.graph, w, kind, None
-    if name in ("hamming-code", "hypercube-eop"):
-        k = _needs(args, "k", name)
-        if name == "hypercube-eop":
-            host, w = constructions.hypercube_eop_witness(k)
-            return host, w, "eop", None
-        code = constructions.hamming_perfect_code(k)
-        return hypercube(2 ** k - 1), code, "perfect_code", None
-    base = parse_graph6(_needs(args, "g6", name))
-    if name == "bipartite-eop":
-        return base, constructions.bipartite_eop_witness(base), "eop", None
-    p, w = constructions.prism_3packing_witness(base)
-    return p.graph, w, "k_packing", 3
+    build, flags, kind, k = _WITNESSES[args.name]
+    values = [_needs(args, flag, args.name) for flag in flags]
+    host, w = build(
+        *(parse_graph6(x) if f in ("g", "h", "g6") else x for f, x in zip(flags, values))
+    )
+    return getattr(host, "graph", host), w, kind, k
 
 
 def _cmd_witness(args) -> int:
@@ -220,17 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_product)
 
     p = sub.add_parser("witness", help="build and verify a witness construction")
-    p.add_argument(
-        "--name",
-        required=True,
-        choices=[
-            *_FACTOR_WITNESSES,
-            "bipartite-eop",
-            "prism-3packing",
-            "hamming-code",
-            "hypercube-eop",
-        ],
-    )
+    p.add_argument("--name", required=True, choices=list(_WITNESSES))
     p.add_argument("--k", type=int, default=None, help="hypercube parameter")
     p.add_argument("--g6", default=None, help="host graph, graph6")
     p.add_argument("--g", default=None, help="first factor, graph6")

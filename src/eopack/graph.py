@@ -378,22 +378,31 @@ def generate(spec: GeneratorSpec) -> Graph:
 # metrics
 # ---------------------------------------------------------------------------
 
+def _bfs(adj: Sequence[int], root: int) -> tuple:
+    """Breadth-first ``(order, parent)`` from ``root`` over bitset rows, neighbours ascending.
+
+    ``order`` lists the vertices reached and ``parent[i]`` is the parent of
+    ``order[i]`` (-1 for the root), so a call costs only its component.
+    """
+    order, parent = [root], [-1]
+    seen = 1 << root
+    for v in order:
+        rest = adj[v] & ~seen
+        seen |= rest
+        while rest:
+            low = rest & -rest
+            order.append(low.bit_length() - 1)
+            parent.append(v)
+            rest ^= low
+    return order, parent
+
+
 def _bfs_dist(g: Graph, src: int) -> list:
+    order, parent = _bfs(g.adj, src)
     dist = [math.inf] * g.n
     dist[src] = 0
-    seen = 1 << src
-    frontier = 1 << src
-    d = 0
-    while frontier:
-        d += 1
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= g.adj[v]
-        nxt &= ~seen
-        for v in bits(nxt):
-            dist[v] = d
-        seen |= nxt
-        frontier = nxt
+    for v, p in zip(order[1:], parent[1:]):
+        dist[v] = dist[p] + 1
     return dist
 
 
@@ -403,7 +412,7 @@ def distances(g: Graph) -> list:
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or math.inf not in _bfs_dist(g, 0)
+    return g.n <= 1 or len(_bfs(g.adj, 0)[0]) == g.n
 
 
 def bipartition(g: Graph) -> Optional[tuple]:
@@ -412,25 +421,19 @@ def bipartition(g: Graph) -> Optional[tuple]:
     Within each connected component the side holding its lowest-index vertex
     goes to A1, so the answer is deterministic.
     """
-    color = [-1] * g.n
+    side = [-1] * g.n
     for root in range(g.n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in bits(g.adj[v]):
-                    if color[u] == -1:
-                        color[u] = color[v] ^ 1
-                        nxt.append(u)
-                    elif color[u] == color[v]:
-                        return None
-            frontier = nxt
-    a1 = tuple(v for v in range(g.n) if color[v] == 0)
-    a2 = tuple(v for v in range(g.n) if color[v] == 1)
-    return a1, a2
+        if side[root] < 0:
+            order, parent = _bfs(g.adj, root)
+            side[root] = 0
+            for v, p in zip(order[1:], parent[1:]):
+                side[v] = side[p] ^ 1
+    masks = [0, 0]
+    for v in range(g.n):
+        masks[side[v]] |= 1 << v
+    if any(g.adj[v] & masks[side[v]] for v in range(g.n)):
+        return None
+    return tuple(bits(masks[0])), tuple(bits(masks[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -839,45 +842,40 @@ def _prufer_tree(seq: Sequence[int], n: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def _rooted_tree_code(nbrs: Sequence, root: int) -> str:
+def _rooted_tree_code(adj: Sequence[int], root: int) -> str:
     """AHU code of a tree rooted at ``root``: "(" + sorted child codes + ")"."""
-    parent = [-1] * len(nbrs)
-    order = [root]
-    for v in order:
-        for u in nbrs[v]:
-            if u != parent[v]:
-                parent[u] = v
-                order.append(u)
-    kids: list = [[] for _ in nbrs]
-    code = ""
-    for v in reversed(order):
-        code = "(" + "".join(sorted(kids[v])) + ")"
-        if v != root:
-            kids[parent[v]].append(code)
-    return code
+    order, parent = _bfs(adj, root)
+    kids: list = [[] for _ in adj]
+    for i in range(len(order) - 1, 0, -1):
+        kids[parent[i]].append("(" + "".join(sorted(kids[order[i]])) + ")")
+    return "(" + "".join(sorted(kids[root])) + ")"
 
 
-def _tree_code(nbrs: Sequence) -> str:
-    """Isomorphism-invariant code of a tree given as neighbor lists.
+def _tree_code(adj: Sequence[int]) -> str:
+    """Isomorphism-invariant code of a tree given as bitset rows.
 
     The center (or the two bicenters) is found by peeling leaves layer by
     layer; the code is the least AHU code (Aho, Hopcroft & Ullman 1974) over
     the trees rooted at the centers.  Two trees are isomorphic exactly when
     their codes are equal.
     """
-    deg = [len(a) for a in nbrs]
+    deg = [a.bit_count() for a in adj]
     layer = [v for v, d in enumerate(deg) if d <= 1]
-    left = len(nbrs)
+    left = len(adj)
     while left > 2:
         left -= len(layer)
         nxt = []
         for v in layer:
-            for u in nbrs[v]:
+            rest = adj[v]
+            while rest:
+                low = rest & -rest
+                u = low.bit_length() - 1
                 deg[u] -= 1
                 if deg[u] == 1:
                     nxt.append(u)
+                rest ^= low
         layer = nxt
-    return min(_rooted_tree_code(nbrs, c) for c in layer)
+    return min(_rooted_tree_code(adj, c) for c in layer)
 
 
 def enumerate_trees(n: int, dedup: bool = False) -> Iterator[Graph]:
@@ -909,20 +907,19 @@ def enumerate_trees(n: int, dedup: bool = False) -> Iterator[Graph]:
                 return
             seq[k] += 1
     else:
-        reps = [[[1], [0]]]
+        reps = [[0b10, 0b01]]
         for size in range(3, n + 1):
             leaf = size - 1
             grown = {}
             for t in reps:
                 for v in range(leaf):
-                    bigger = [list(a) for a in t]
-                    bigger[v].append(leaf)
-                    bigger.append([v])
+                    bigger = t[:]
+                    bigger[v] |= 1 << leaf
+                    bigger.append(1 << v)
                     grown.setdefault(_tree_code(bigger), bigger)
             reps = [grown[k] for k in sorted(grown)]
         for t in reps:
-            edges = [(u, v) for u, nbrs in enumerate(t) for v in nbrs if u < v]
-            yield Graph.from_edges(n, edges)
+            yield Graph(n, t)
 
 
 # ---------------------------------------------------------------------------

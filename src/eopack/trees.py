@@ -27,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graph import Graph, GraphError, SplitMix64, is_connected
+from .graph import Graph, GraphError, SplitMix64, _bfs, is_connected
 from .invariants import InvariantResult
 
 
@@ -136,18 +136,10 @@ def nu_i_tree(t: Graph) -> InvariantResult:
     if n == 1:
         return InvariantResult("nu_i_tree", 0, (), 0)
 
-    parent = [-1] * n
-    order = [0]
-    seen = 1
-    for v in order:
-        for u in t.neighbors(v):
-            if not (seen >> u) & 1:
-                seen |= 1 << u
-                parent[u] = v
-                order.append(u)
+    order, parent = _bfs(t.adj, 0)
     children = [[] for _ in range(n)]
-    for v in order[1:]:
-        children[parent[v]].append(v)
+    for v, p in zip(order[1:], parent[1:]):
+        children[p].append(v)
 
     A = [0] * n
     B = [0] * n

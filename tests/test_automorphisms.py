@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from eopack import graph
 from eopack.graph import (
     Graph,
     _automorphisms,
@@ -267,6 +268,36 @@ def test_twin_cells_need_every_cell_twin():
     gens = automorphism_generators(g)
     assert all(is_aut(g, p) for p in gens)
     assert sorted(orbit_masks(9, gens)) == sorted([0b11111, 1 << 5, 0b111 << 6])
+
+
+@pytest.mark.parametrize(
+    "adj",
+    [
+        relabel(hypercube(5), 3).adj,
+        build_conflict_graph(
+            relabel(product("cartesian", path(3), cycle(4)).graph, 7), "eop"
+        ).conflicts,
+    ],
+    ids=["Q5", "eop-conflicts-P3xC4"],
+)
+def test_work_limit_only_shrinks_the_subgroup(monkeypatch, adj):
+    # from no work up to the whole search: the first path runs out (no
+    # generators), then the search stops midway (a partial subgroup); every
+    # partial answer is a subgroup of the full one that the search may use
+    n = len(adj)
+    g = Graph(n, adj)
+    full = orbit_masks(n, _automorphisms(adj))
+    want = _search(n, adj)[0]
+    exits = set()
+    for steps in range(40):
+        monkeypatch.setattr(graph, "_AUT_WORK_LIMIT", n * steps)
+        gens = _automorphisms(adj)
+        assert all(is_aut(g, p) for p in gens)
+        orbits = orbit_masks(n, gens)
+        assert all(any(o & f == o for f in full) for o in orbits)
+        assert _search(n, adj, orbits=[o for o in orbits if o & (o - 1)])[0] == want
+        exits.add("first path" if not gens else "midway" if len(orbits) > len(full) else "done")
+    assert exits == {"first path", "midway", "done"}
 
 
 # ---------------------------------------------------------------------------

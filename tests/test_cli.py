@@ -410,6 +410,25 @@ def test_witness_rooted_im_needs_root(capsys):
     assert err == "error: rooted-im needs --root\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--name", "lex-im"), "lex-im needs --g"),
+        (("--name", "box-eop", "--g", "Bg", "--g6", "Cl"), "box-eop needs --h"),
+        (("--name", "direct-eop", "--h", "Cl"), "direct-eop needs --g"),
+        (("--name", "bipartite-eop", "--g", "Bg"), "bipartite-eop needs --g6"),
+        (("--name", "prism-3packing", "--k", "2"), "prism-3packing needs --g6"),
+        (("--name", "hamming-code", "--g6", "Bw"), "hamming-code needs --k"),
+        (("--name", "hypercube-eop"), "hypercube-eop needs --k"),
+        # the code's range check runs before its host Q_(2^k - 1) is built
+        (("--name", "hamming-code", "--k", "0"), "hamming code supports 1 <= k <= 4"),
+    ],
+)
+def test_witness_usage_errors_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, "witness", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 # sha256 of "<exit code>\n<stdout>" for every witness name and product kind, on
 # the factors P_3 = Bg and C_4 = Cl; the digests were taken before the product
 # rows and the CLI dispatch tables were rewritten, so they pin the old replies

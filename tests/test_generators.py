@@ -137,6 +137,34 @@ def test_graph_validation():
         Graph(2, [1, 0])  # asymmetric / loop bits
 
 
+_BAD_INPUTS = [
+    (lambda: Graph(-1, []), "vertex count must be nonnegative"),
+    (lambda: Graph(2, [0]), "adjacency list length does not match vertex count"),
+    (lambda: Graph(2, [0b100, 0b000]), "neighbor out of range at vertex 0"),
+    (lambda: Graph(2, [0b10, 0b00]), "asymmetric adjacency between 0 and 1"),
+    (lambda: path(3).without_edges([(2, 0)]), "edge (0,2) not present"),
+    (lambda: path(0), "path needs n >= 1"),
+    (lambda: cycle(2), "cycle needs n >= 3"),
+    (lambda: complete(0), "complete graph needs n >= 1"),
+    (lambda: complete_bipartite(2, 0), "complete bipartite needs positive sides"),
+    (lambda: subdivided_star([]), "subdivided star needs positive path lengths"),
+    (lambda: subdivided_star([2, 0]), "subdivided star needs positive path lengths"),
+    (lambda: star(0), "star needs r >= 1"),
+    (lambda: spider(0), "spider needs k >= 1"),
+    (lambda: hypercube(0), "hypercube needs n >= 1"),
+    (lambda: figure1(0), "figure1 needs r >= 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, message", _BAD_INPUTS, ids=[f"{i}-{m}" for i, (_, m) in enumerate(_BAD_INPUTS)]
+)
+def test_bad_input_raises_its_message(build, message):
+    with pytest.raises(GraphError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_graph_immutable():
     g = path(3)
     with pytest.raises(AttributeError):

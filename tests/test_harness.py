@@ -200,6 +200,22 @@ def test_checkrun_budget_bookkeeping(monkeypatch):
     assert stale.status == "skipped" and stale.instances_run == 0
 
 
+@pytest.mark.parametrize(
+    "bound, status, actual",
+    [
+        ((3, 1), "fail", "1 outside [3,None]"),
+        ((0, 5, 4), "fail", "5 outside [0,4]"),
+        ((1, 2, 2), "pass", "holds"),
+    ],
+)
+def test_bound_misses_are_reported(monkeypatch, bound, status, actual):
+    _patch_runner(monkeypatch, lambda run: iter([(["x"], "holds", harness._within(*bound))]))
+    r = run_check("lex-nu-equality")
+    assert r.status == status
+    failures = [{"inputs_graph6": ["x"], "expected": "holds", "actual": actual}]
+    assert r.failures == ([] if actual == "holds" else failures)
+
+
 def test_runner_exception_is_recorded_as_error(monkeypatch):
     def broken(run):
         yield ["x"], 1, 1

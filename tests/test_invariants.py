@@ -19,6 +19,7 @@ from eopack.graph import (
     star,
 )
 from eopack import invariants
+from eopack.constructions import hamming_perfect_code
 from eopack.invariants import (
     CapacityError,
     InvariantResult,
@@ -333,6 +334,44 @@ def test_verify_witness_errors():
         verify_witness(path(4), [99], "open_packing")
     with pytest.raises(ValueError):
         verify_witness(path(4), [0], "no_such_kind")
+
+
+def test_rho_o_witness_is_a_maximum_open_packing():
+    # every unlabeled graph up to 6 vertices, against all vertex subsets
+    for n in range(1, 7):
+        for g in enumerate_graphs(n, dedup=True):
+            best = 0
+            for r in range(n + 1):
+                for s in itertools.combinations(range(n), r):
+                    ok = all(not g.adj[a] & g.adj[b] for a, b in itertools.combinations(s, 2))
+                    assert verify_witness(g, s, "open_packing") == ok
+                    best = max(best, r) if ok else best
+            res = rho_o(g)
+            assert verify_witness(g, res.witness, "open_packing")
+            assert res.value == len(res.witness) == best
+
+
+@pytest.mark.parametrize(
+    "g, w, kind, k",
+    [
+        (path(4), [0], "induced_matching", None),
+        (path(4), [0, 1], "eop", None),
+        (path(4), [0, 3], "open_packing", None),
+        (path(4), [0, 3], "k_packing", 2),
+        (path(4), [1, 2], "dominating", None),
+        (hypercube(3), [0, 7], "perfect_code", None),
+    ],
+)
+def test_verify_witness_rejects_a_repeated_index(g, w, kind, k):
+    assert verify_witness(g, w, kind, k)
+    assert not verify_witness(g, w + [w[0]], kind, k)
+
+
+def test_verify_witness_rejects_overlapping_perfect_code_balls():
+    code = hamming_perfect_code(2)
+    assert verify_witness(hypercube(3), code, "perfect_code")
+    # the ball of 1 meets the ball of codeword 0
+    assert not verify_witness(hypercube(3), code + (1,), "perfect_code")
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from eopack.invariants import (
 )
 from eopack.trees import (
     SpiderPartition,
+    _partition_fault,
     generate_family_f,
     is_tree,
     nu_i_tree,
@@ -272,6 +273,41 @@ def test_verify_rejects_vertices_outside_the_graph():
         ((2, ((1, 9), (3, 4))),),
     ):
         assert verify_spider_partition(t, SpiderPartition(spiders, ())) is False
+
+
+# the member generate_family_f([2, 3], seed=1): spiders centered at 0 and 5,
+# joined by the extra edge (0, 11)
+_S0 = (0, ((1, 2), (3, 4)))
+_S1 = (5, ((6, 7), (8, 9), (10, 11)))
+
+
+@pytest.mark.parametrize(
+    "spiders, extra_edges, fault",
+    [
+        (((0, ((1, 2),)), _S1), ((0, 11),), "spider 0 has fewer than 2 legs"),
+        (
+            ((0, ((2, 1), (3, 4))), _S1),
+            ((0, 11),),
+            "spider 0 leg (2,1) is not a path from its center",
+        ),
+        (((0, ((1, 2), (1, 2))), _S1), ((0, 11),), "spider 0 repeats a vertex"),
+        ((_S0, _S0, _S1), ((0, 11),), "spider 1 repeats a vertex"),
+        ((_S0, (5, ((6, 7), (8, 9)))), ((0, 11),), "spiders do not cover every vertex"),
+        (
+            (_S0, _S1),
+            ((0, 5),),
+            "extra edges differ from the tree edges in no spider",
+        ),
+        ((_S0, _S1), (), "extra edges differ from the tree edges in no spider"),
+    ],
+)
+def test_verifier_names_each_broken_condition(spiders, extra_edges, fault):
+    t, cert = generate_family_f([2, 3], seed=1)
+    assert cert == SpiderPartition((_S0, _S1), ((0, 11),))
+    assert _partition_fault(t, cert) == ""
+    part = SpiderPartition(spiders, extra_edges)
+    assert verify_spider_partition(t, part) is False
+    assert _partition_fault(t, part) == fault
 
 
 def test_subdivided_star_equality_cases():
