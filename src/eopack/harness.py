@@ -125,6 +125,13 @@ def _jsonable(x):
 REGISTRY: dict = {}
 # run_suite runs a suite in process until this many seconds, about the pool's start-up cost
 _SERIAL_S = 0.05
+# checks that solve the same product graphs; run_suite hands the selected members of each
+# chain to one pool task, run in registry order, so later members hit that worker's value
+# cache instead of solving the products again in another worker
+_CHAINS = (
+    ("lex-nu-equality", "nu-box-analogues"),  # nu_I of G lex H, G strong H and G box H
+    ("lex-eop-bounds", "lex-min-box", "box-eop-bounds"),  # rho_e^o of the same products
+)
 
 
 def _check(id: str, citation: str, corpus: str, budget_s: float):
@@ -852,15 +859,29 @@ def run_check(
     )
 
 
-def _workers(n_checks: int) -> int:
-    """One process per available CPU for ``n_checks`` checks; 1 without ``fork``, with a
+def _workers(n_tasks: int) -> int:
+    """One process per available CPU for ``n_tasks`` pool tasks; 1 without ``fork``, with a
     second thread alive, in a daemonic worker (which may not have children) or with
     ``run_check`` rebound by a tracer (whose records would stay in the workers)."""
     mp = sys.modules.get("multiprocessing")
     if not hasattr(os, "fork") or threading.active_count() > 1 or run_check.__module__ != __name__:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return 1 if mp and mp.current_process().daemon else min(n_checks, cpus or 1)
+    return 1 if mp and mp.current_process().daemon else min(n_tasks, cpus or 1)
+
+
+def _tasks(ids: list) -> list:
+    """``ids`` as pool tasks: the members of each chain in ``_CHAINS`` form one task, placed
+    at its first member, and every other check is a task of its own."""
+    tasks: dict = {}
+    for cid in ids:
+        tasks.setdefault(next((ch for ch in _CHAINS if cid in ch), cid), []).append(cid)
+    return list(tasks.values())
+
+
+def _run_task(ids: list, budget, seed, max_n) -> list:
+    """Reports of the checks ``ids``, run in order in this process: one pool task."""
+    return [run_check(cid, budget, seed, max_n) for cid in ids]
 
 
 def run_suite(
@@ -871,25 +892,31 @@ def run_suite(
 ) -> tuple:
     """Run all checks whose id or corpus contains the filter; returns (reports, summary).
 
-    Checks run in process for ``_SERIAL_S``, then in forked workers (:func:`_workers`),
-    timing their own ``wall_ms``; reports in registry order, ``error`` if a worker died.
+    Checks run in process, in registry order, for ``_SERIAL_S``; the rest run as pool tasks
+    (:func:`_tasks`) in forked workers (:func:`_workers`), each timing its own ``wall_ms``.
+    Reports come back in registry order, ``error`` for every check of a task whose worker died.
     """
     checks = list_checks(name_filter)
-    calls = [(c.id, budget, seed, max_n) for c in checks]
-    reports, start = [], time.monotonic()
-    while calls and (time.monotonic() - start < _SERIAL_S or _workers(len(calls)) <= 1):
-        reports.append(run_check(*calls.pop(0)))
-    if calls:
+    ids = [c.id for c in checks]
+    done, start = {}, time.monotonic()
+    while ids and (time.monotonic() - start < _SERIAL_S or _workers(len(_tasks(ids))) <= 1):
+        cid = ids.pop(0)
+        done[cid] = run_check(cid, budget, seed, max_n)
+    if ids:
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
         from multiprocessing import get_context
-        with ProcessPoolExecutor(_workers(len(calls)), mp_context=get_context("fork")) as pool:
-            futures = [pool.submit(run_check, *call) for call in calls]
-        for c, future in zip(checks[len(reports) :], futures):
+        tasks = _tasks(ids)
+        with ProcessPoolExecutor(_workers(len(tasks)), mp_context=get_context("fork")) as pool:
+            futures = [pool.submit(_run_task, task, budget, seed, max_n) for task in tasks]
+        for task, future in zip(tasks, futures):
             try:
-                reports.append(future.result())
-            except BrokenExecutor as exc:  # the worker running it died
+                done.update(zip(task, future.result()))
+            except BrokenExecutor as exc:  # the worker running the task died
                 error = f"{type(exc).__name__}: {exc}"
-                reports.append(CheckReport(c.id, c.citation, 0, [], 0, "error", error=error))
+                for cid in task:
+                    c = REGISTRY[cid]
+                    done[cid] = CheckReport(cid, c.citation, 0, [], 0, "error", error=error)
+    reports = [done[c.id] for c in checks]
     summary = {
         "total": len(reports),
         "pass": sum(r.status == "pass" for r in reports),

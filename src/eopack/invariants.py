@@ -356,7 +356,7 @@ def _item_orbits(g: Graph, edge_items: bool) -> list:
     structure of g alone, so a lifted automorphism of g is an automorphism
     of the conflict graph.
     """
-    gens = _cached("aut", g, lambda: automorphism_generators(g), None)
+    gens = _cached("aut", g, lambda: automorphism_generators(g), None, None)
     if edge_items:
         index = g.edge_index
         gens = [[index[(min(p[u], p[v]), max(p[u], p[v]))] for u, v in g.edges] for p in gens]
@@ -395,7 +395,17 @@ def max_independent_set(
 _CACHE: dict = {}
 
 
-def _cached(name: str, g: Graph, fn, max_items: Optional[int]):
+def _cached(name: str, g: Graph, fn, max_items: Optional[int], unit: Optional[str]):
+    """``fn()``, cached under ``(name, g)`` when no ``max_items`` is passed.
+
+    The cap in force on ``unit`` (``"items"``, g's edges; ``"vertices"``; None for no
+    cap) is checked first, so a value solved under a higher cap is never returned
+    past a lower one.
+    """
+    if unit == "items":
+        _check_cap(g.m, _item_cap(max_items), unit)
+    elif unit == "vertices":
+        _check_cap(g.n, _vertex_cap(max_items), unit)
     key = (name, g.n, g.edges)
     if max_items is None and key in _CACHE:
         return _CACHE[key]
@@ -413,30 +423,32 @@ def clear_cache() -> None:
 # named invariants
 # ---------------------------------------------------------------------------
 
-def _mis_invariant(name: str, g: Graph, instance, max_items: Optional[int]):
+def _mis_invariant(name: str, g: Graph, instance, max_items: Optional[int], unit: str):
     # max_independent_set on instance(), renamed and cached under ``name``
     def solve():
         res = max_independent_set(instance(), max_items)
         return InvariantResult(name, res.value, res.witness, res.nodes)
 
-    return _cached(name, g, solve, max_items)
+    return _cached(name, g, solve, max_items, unit)
 
 
 def nu_i(g: Graph, max_items: Optional[int] = None) -> InvariantResult:
     """Induced matching number: max edges pairwise non-adjacent and unjoined."""
     return _mis_invariant(
-        "nu_i", g, lambda: build_conflict_graph(g, "induced_matching"), max_items
+        "nu_i", g, lambda: build_conflict_graph(g, "induced_matching"), max_items, "items"
     )
 
 
 def rho_eo(g: Graph, max_items: Optional[int] = None) -> InvariantResult:
     """Edge open packing number: max edges with no third edge joining two of them."""
-    return _mis_invariant("rho_eo", g, lambda: build_conflict_graph(g, "eop"), max_items)
+    return _mis_invariant(
+        "rho_eo", g, lambda: build_conflict_graph(g, "eop"), max_items, "items"
+    )
 
 
 def alpha(g: Graph, max_items: Optional[int] = None) -> InvariantResult:
     """Independence number."""
-    return _mis_invariant("alpha", g, lambda: g, max_items)
+    return _mis_invariant("alpha", g, lambda: g, max_items, "vertices")
 
 
 def beta(g: Graph, max_items: Optional[int] = None) -> InvariantResult:
@@ -450,11 +462,10 @@ def beta(g: Graph, max_items: Optional[int] = None) -> InvariantResult:
 def _vertex_packing(name: str, g: Graph, rows, max_items: Optional[int]):
     # MIS over V(g), v conflicting with rows()[v] - v, cached under ``name``
     def solve():
-        _check_cap(g.n, _vertex_cap(max_items), "vertices")
         conf = [row & ~(1 << v) for v, row in enumerate(rows())]
         return _solve(name, g.n, conf, g, False)
 
-    return _cached(name, g, solve, max_items)
+    return _cached(name, g, solve, max_items, "vertices")
 
 
 def rho_o(g: Graph, max_items: Optional[int] = None) -> InvariantResult:
@@ -487,7 +498,6 @@ def gamma(g: Graph, max_items: Optional[int] = None) -> InvariantResult:
 
     def solve():
         n = g.n
-        _check_cap(n, _vertex_cap(max_items), "vertices")
         closed = [g.adj[v] | (1 << v) for v in range(n)]
         full = (1 << n) - 1
         if n == 0:
@@ -524,7 +534,7 @@ def gamma(g: Graph, max_items: Optional[int] = None) -> InvariantResult:
             stack.extend((unc & ~closed[v], chosen + (v,)) for v in reversed(cands))
         return InvariantResult("gamma", best_size, tuple(best), nodes)
 
-    return _cached("gamma", g, solve, max_items)
+    return _cached("gamma", g, solve, max_items, "vertices")
 
 
 def has_perfect_code(g: Graph) -> Optional[tuple]:

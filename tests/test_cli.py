@@ -179,6 +179,10 @@ def test_env_capacity_cap(capsys, monkeypatch):
     monkeypatch.delenv("EOPACK_MAX_VERTICES")
     code, out, _ = run_cli(capsys, "compute", "--invariant", "alpha", "--g6", g6)
     assert code == 0
+    # the value is cached now, and a lower cap still refuses it
+    monkeypatch.setenv("EOPACK_MAX_VERTICES", "3")
+    code, _, err = run_cli(capsys, "compute", "--invariant", "alpha", "--g6", g6)
+    assert code == 3 and "5 vertices exceed the exact-solver cap of 3" in err
 
 
 def test_check_max_n_flag(capsys):

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from eopack import harness
+from eopack import harness, invariants
 from eopack.harness import (
     REGISTRY,
     list_checks,
@@ -181,9 +181,9 @@ def test_capacity_skip_never_passes(monkeypatch):
     clear_cache()
 
 
-def _patch_runner(monkeypatch, runner):
-    patched = dataclasses.replace(REGISTRY["lex-nu-equality"], runner=runner)
-    monkeypatch.setitem(REGISTRY, "lex-nu-equality", patched)
+def _patch_runner(monkeypatch, runner, check_id="lex-nu-equality"):
+    patched = dataclasses.replace(REGISTRY[check_id], runner=runner)
+    monkeypatch.setitem(REGISTRY, check_id, patched)
 
 
 def test_checkrun_budget_bookkeeping(monkeypatch):
@@ -345,13 +345,41 @@ def _force_workers(monkeypatch, workers: int) -> None:
     monkeypatch.setattr(harness, "_SERIAL_S", 0)
 
 
-@pytest.mark.parametrize("kwargs", [{}, {"max_n": 3}], ids=["full", "max_n=3"])
+@pytest.mark.parametrize(
+    "kwargs",
+    [{}, {"max_n": 3}, {"name_filter": "box"}],
+    ids=["full", "max_n=3", "box"],  # "box" selects part of each chain
+)
 def test_pooled_and_serial_suites_are_byte_identical(monkeypatch, kwargs):
     texts = []
     for workers in (1, 2):
         _force_workers(monkeypatch, workers)
         texts.append(json.dumps(suite_json(*run_suite(seed=0, **kwargs), with_timing=False)))
     assert texts[0] == texts[1]
+
+
+def test_every_chained_check_is_registered():
+    assert {cid for chain in harness._CHAINS for cid in chain} <= set(REGISTRY)
+
+
+@pytest.mark.parametrize("chain", harness._CHAINS, ids=lambda chain: chain[0])
+def test_later_chain_members_reuse_the_earlier_members_products(monkeypatch, chain):
+    looked_up = []
+    cached = invariants._cached
+
+    def spy(name, g, *args):
+        looked_up.append((name, g.n, g.edges))
+        return cached(name, g, *args)
+
+    monkeypatch.setattr(invariants, "_cached", spy)
+    invariants.clear_cache()
+    for i, cid in enumerate(chain):
+        stored = set(invariants._CACHE)
+        looked_up.clear()
+        assert run_check(cid, max_n=3).status == "pass"
+        # factors have at most 3 vertices, so larger graphs are products
+        product_hits = {key for key in looked_up if key in stored and key[1] > 3}
+        assert bool(product_hits) == (i > 0), cid
 
 
 def test_pooled_reports_come_back_in_registry_order(monkeypatch):
@@ -387,7 +415,8 @@ def test_one_worker_or_one_check_runs_without_a_pool(monkeypatch, workers, name_
     assert summary["pass"] == summary["total"] > 0
 
 
-def test_a_dead_worker_errors_its_checks_and_the_suite_returns(monkeypatch):
+def _kill_a_worker(monkeypatch, name_filter, dying) -> list:
+    """Pooled reports of the filter when check ``dying`` kills its worker."""
     parent = os.getpid()
 
     def dies(run):
@@ -398,9 +427,9 @@ def test_a_dead_worker_errors_its_checks_and_the_suite_returns(monkeypatch):
         yield
 
     _force_workers(monkeypatch, 2)
-    before, _ = run_suite("lex", max_n=2)
-    _patch_runner(monkeypatch, dies)
-    reports, summary = run_suite("lex", max_n=2)
+    before, _ = run_suite(name_filter, max_n=2)
+    _patch_runner(monkeypatch, dies, dying)
+    reports, summary = run_suite(name_filter, max_n=2)
     assert multiprocessing.active_children() == []
     assert [r.id for r in reports] == [r.id for r in before]
     for old, new in zip(before, reports):
@@ -409,9 +438,23 @@ def test_a_dead_worker_errors_its_checks_and_the_suite_returns(monkeypatch):
             assert (new.instances_run, new.failures) == (0, [])
         else:
             assert report_json(new, with_timing=False) == report_json(old, with_timing=False)
-    assert reports[0].id == "lex-nu-equality" and reports[0].status == "error"
     assert summary["error"] == sum(r.status == "error" for r in reports) >= 1
     assert summary["total"] == len(before)
+    return reports
+
+
+def test_a_dead_worker_errors_its_checks_and_the_suite_returns(monkeypatch):
+    reports = _kill_a_worker(monkeypatch, "lex", "lex-nu-equality")
+    assert reports[0].id == "lex-nu-equality" and reports[0].status == "error"
+
+
+@pytest.mark.parametrize("dying", ["lex-min-box", "box-eop-bounds"])
+def test_a_dead_worker_errors_every_check_of_its_chain(monkeypatch, dying):
+    # "box" selects lex-min-box and box-eop-bounds of one chain: one task, lost
+    # whole, whichever member kills its worker
+    reports = _kill_a_worker(monkeypatch, "box", dying)
+    status = {r.id: r.status for r in reports}
+    assert status["lex-min-box"] == status["box-eop-bounds"] == "error"
 
 
 _PRINT_THEN_SUITE = """

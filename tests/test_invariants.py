@@ -171,6 +171,30 @@ def test_mis_capacity_error():
     assert max_independent_set(big, max_items=70).value == 70
 
 
+@pytest.mark.parametrize(
+    "solve, var, message",
+    [
+        (nu_i, "EOPACK_MAX_ITEMS", "4 items"),
+        (rho_eo, "EOPACK_MAX_ITEMS", "4 items"),
+        (alpha, "EOPACK_MAX_VERTICES", "5 vertices"),
+        (beta, "EOPACK_MAX_VERTICES", "5 vertices"),
+        (rho_o, "EOPACK_MAX_VERTICES", "5 vertices"),
+        (lambda g: distance_packing(g, 2), "EOPACK_MAX_VERTICES", "5 vertices"),
+        (gamma, "EOPACK_MAX_VERTICES", "5 vertices"),
+    ],
+    ids=["nu_i", "rho_eo", "alpha", "beta", "rho_o", "rho_2", "gamma"],
+)
+def test_a_cached_value_obeys_a_lower_cap(monkeypatch, solve, var, message):
+    monkeypatch.delenv(var, raising=False)
+    invariants.clear_cache()
+    value = solve(path(5)).value
+    monkeypatch.setenv(var, "3")
+    with pytest.raises(CapacityError, match=f"{message} exceed the exact-solver cap of 3"):
+        solve(path(5))
+    monkeypatch.setenv(var, "5")
+    assert solve(path(5)).value == value
+
+
 # ---------------------------------------------------------------------------
 # edge invariants against brute force over all edge subsets
 # ---------------------------------------------------------------------------
