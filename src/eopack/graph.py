@@ -150,8 +150,11 @@ def _rows_from_bit_string(n: int, s: str) -> list:
     adj = [0] * n
     for j in range(1, n):
         adj[j] = int(r[end - j * (j + 1) // 2 : end - j * (j - 1) // 2], 2)
-        for i in bits(adj[j]):
-            adj[i] |= 1 << j
+        col, bit = adj[j], 1 << j
+        while col:
+            low = col & -col
+            adj[low.bit_length() - 1] |= bit
+            col ^= low
     return adj
 
 
@@ -533,10 +536,20 @@ def is_aut(g: Graph, p: Sequence[int]) -> bool:
 
 
 def _maps_edges(adj: Sequence[int], p: Sequence[int]) -> bool:
-    # :func:`is_aut` for a permutation p, on symmetric rows, each edge uv (u < v) once
-    for u, row in enumerate(adj):
+    # :func:`is_aut` for a permutation p, on symmetric rows.  An edge between
+    # fixed vertices maps to itself; a moved u must have the fixed neighbours
+    # of p[u], and each edge between moved vertices is checked from its lower end
+    moved = sum(1 << u for u, x in enumerate(p) if u != x)
+    fixed, left = ~moved, moved
+    while left:
+        lu = left & -left
+        left ^= lu
+        u = lu.bit_length() - 1
+        row = adj[u]
         image = adj[p[u]]
-        rest = row >> (u + 1) << (u + 1)
+        if (row ^ image) & fixed:
+            return False
+        rest = row & left
         while rest:
             low = rest & -rest
             if not (image >> p[low.bit_length() - 1]) & 1:
@@ -545,8 +558,13 @@ def _maps_edges(adj: Sequence[int], p: Sequence[int]) -> bool:
     return True
 
 
-def orbit_masks(count: int, perms) -> list:
-    """Orbits of the group that permutations of 0..count-1 generate, as masks by least element."""
+def orbit_masks(count: int, perms, domain: Optional[int] = None) -> list:
+    """Orbits of the group that permutations of 0..count-1 generate, as masks by least element.
+
+    With a mask ``domain`` that every permutation maps onto itself, only
+    the orbits inside it, found from its elements alone.
+    """
+    items = range(count) if domain is None else list(bits(domain))
     root = list(range(count))
 
     def find(i: int) -> int:
@@ -556,12 +574,14 @@ def orbit_masks(count: int, perms) -> list:
         return i
 
     for p in perms:
-        for i, j in enumerate(p):
-            a, b = find(i), find(j)
-            if a != b:
-                root[max(a, b)] = min(a, b)
+        for i in items:
+            j = p[i]
+            if i != j:
+                a, b = find(i), find(j)
+                if a != b:
+                    root[max(a, b)] = min(a, b)
     orbits: dict = {}
-    for i in range(count):
+    for i in items:
         r = find(i)
         orbits[r] = orbits.get(r, 0) | (1 << i)
     return list(orbits.values())
@@ -580,40 +600,63 @@ def _refine(adj: Sequence[int], cells: list, ns: list, queue: list) -> None:
     ``nbr``, in ascending start order, is split by the planes, most
     significant first, into its parts outside and inside each plane; so its
     fragments come out in ascending order of the count, the count-0
-    fragment included.  A split cell already queued queues all its new
-    fragments; otherwise all but its first largest fragment (Hopcroft's
-    rule).  Refinement stops once the queue or ``ns`` is empty.  Nothing
-    depends on vertex labels, so relabelling the graph relabels the result.
+    fragment included.  A singleton splitter's only plane is its row, so
+    each cell it touches splits into the parts outside and inside that row.
+    A split cell already queued queues all its new fragments; otherwise all
+    but its first largest fragment (Hopcroft's rule).  Refinement stops
+    once the queue or ``ns`` is empty.  Nothing depends on vertex labels,
+    so relabelling the graph relabels the result.
     """
     queued = set(queue)
     queue = deque(queue)
     while queue and ns:
         s = queue.popleft()
         queued.discard(s)
+        x = cells[s]
+        if not x & (x - 1):  # a singleton: each cell it touches splits by its row
+            row = adj[x.bit_length() - 1]
+            for st in [st for st in ns if 0 != cells[st] & row != cells[st]]:
+                cell = cells[st]
+                inside = cell & row
+                out = cell ^ inside
+                a = out.bit_count()
+                cells[st], cells[st + a] = out, inside
+                # queue both new parts if the cell was queued, else the smaller
+                pos = st + a if st in queued or a >= inside.bit_count() else st
+                queued.add(pos)
+                queue.append(pos)
+                i = ns.index(st)
+                ns[i:i + 1] = [q for q, y in ((st, out), (st + a, inside)) if y & (y - 1)]
+            continue
         planes, nbr = [], 0
-        for u in bits(cells[s]):
-            carry = adj[u]
+        while x:
+            low = x & -x
+            x ^= low
+            carry = adj[low.bit_length() - 1]
             nbr |= carry
             for j, plane in enumerate(planes):
                 planes[j] = plane ^ carry
                 carry &= plane
+                if not carry:
+                    break
             if carry:
                 planes.append(carry)
-        for st in [st for st in ns if cells[st] & nbr]:
+        planes.reverse()
+        touched = [st for st in ns if cells[st] & nbr]
+        split = {st for plane in planes for st in touched if 0 != cells[st] & plane != cells[st]}
+        for st in sorted(split):
             cell = cells[st]
             parts = [cell]
-            for plane in reversed(planes):
+            for plane in planes:
                 if cell & plane not in (0, cell):  # else it splits no part
-                    parts = [q for x in parts for q in (x & ~plane, x & plane) if q]
-            if len(parts) == 1:
-                continue
-            sizes = [x.bit_count() for x in parts]
+                    parts = [q for y in parts for q in (y & ~plane, y & plane) if q]
+            sizes = [y.bit_count() for y in parts]
             keep = None if st in queued else sizes.index(max(sizes))
             pos = st
             starts = []
-            for i, x in enumerate(parts):
-                cells[pos] = x
-                if x & (x - 1):
+            for i, y in enumerate(parts):
+                cells[pos] = y
+                if y & (y - 1):
                     starts.append(pos)
                 if i != keep and pos not in queued:
                     queued.add(pos)
@@ -678,7 +721,9 @@ def automorphism_generators(g: Graph) -> list:
     cell-mate w of that level's path vertex v not yet in v's orbit, a
     depth-first search below "individualize w" looks for a leaf whose map
     from the first leaf is an automorphism; branches whose cell sizes differ
-    from the first path's at the same level are pruned.  Every generator
+    from the first path's at the same level are pruned.  Before it descends
+    from a node, the search tries the map that node's cells imply, which is
+    the map of the first leaf it would reach.  Every generator
     found at a level fixes the path vertices above it, so without limits the
     generators generate Aut(g).  Two limits only shrink the subgroup: a
     target not found within ``_AUT_LEAF_LIMIT`` leaves is skipped, and the
@@ -698,24 +743,32 @@ def automorphism_generators(g: Graph) -> list:
     return _automorphisms(g.adj)
 
 
-def _automorphisms(adj: Sequence[int]) -> list:
+def _automorphisms(adj: Sequence[int], domain: Optional[int] = None) -> list:
     """:func:`automorphism_generators` of the graph on 0..len(adj)-1 with these rows.
 
-    Builds no :class:`Graph`, so a solver can ask it about many induced
-    subgraphs cheaply.
+    With a vertex mask ``domain``, of the induced subgraph on it instead:
+    rows are masked to the domain, and every map fixes the vertices outside
+    it.  The search sees vertex labels only through their order, so the
+    maps are those of the subgraph relabelled to 0..k-1 in vertex order,
+    carried back.  Builds no :class:`Graph`, so a solver can ask it about
+    many induced subgraphs cheaply.
     """
     n = len(adj)
-    if n < 2:
+    if domain is None:
+        domain = (1 << n) - 1
+    else:
+        adj = [row & domain for row in adj]
+    k = domain.bit_count()
+    if k < 2:
         return []
-    cells = [0] * n
-    cells[0] = (1 << n) - 1
+    cells = [0] * k
+    cells[0] = domain
     ns = [0]
     _refine(adj, cells, ns, [0])
     twins = _twin_cell_generators(adj, cells)
     if twins is not None:
         return twins
-    steps = _AUT_WORK_LIMIT // n
-    shapes = [[x.bit_count() for x in cells]]
+    steps = _AUT_WORK_LIMIT // k
     levels = []  # (cells, ns) before each individualization
     while ns:
         steps -= 1
@@ -724,11 +777,28 @@ def _automorphisms(adj: Sequence[int]) -> list:
         levels.append((cells[:], ns[:]))
         x = cells[ns[0]]
         _individualize(adj, cells, ns, (x & -x).bit_length() - 1)
-        shapes.append([x.bit_count() for x in cells])
-    first_leaf = [x.bit_length() - 1 for x in cells]
+    path = [c for c, _ in levels] + [cells]  # the first path's cells at each level
+    shapes = [[x.bit_count() for x in c] for c in path]
+
+    def implied_map(first: list, cells: list) -> Optional[list]:
+        # the map from the first path's cells to equally shaped ``cells``:
+        # singletons by position, the identity on equal cells; None if a
+        # non-singleton cell differs
+        p = list(range(n))
+        for a, b in zip(first, cells):
+            if a != b:
+                if a & (a - 1):
+                    return None
+                p[a.bit_length() - 1] = b.bit_length() - 1
+        return p
 
     def leaf_automorphism(depth: int, w: int):
-        # depth-first below "individualize w at depth" for an automorphic leaf
+        # depth-first below "individualize w at depth" for an automorphic
+        # leaf.  Below a node at level d whose implied map is an
+        # automorphism, the search would follow the first path's choices to
+        # that map's image of the first leaf, with len(levels) - d further
+        # individualizations and no failed leaf; so the map is returned at
+        # once and those steps are charged, and the result is the same
         nonlocal steps
         stack = [levels[depth] + (w, depth)]
         leaves = 0
@@ -737,18 +807,19 @@ def _automorphisms(adj: Sequence[int]) -> list:
             cells, ns = cells[:], ns[:]
             steps -= 1
             nxt = _individualize(adj, cells, ns, v)
-            if [x.bit_count() for x in cells] != shapes[d + 1]:
+            d += 1
+            if [x.bit_count() for x in cells] != shapes[d]:
                 continue
-            if nxt >= 0:
-                for u in reversed(list(bits(cells[nxt]))):
-                    stack.append((cells, ns, u, d + 1))
-                continue
-            p = [0] * n
-            for u, x in zip(first_leaf, cells):
-                p[u] = x.bit_length() - 1
-            if _maps_edges(adj, p):
+            ahead = len(levels) - d
+            p = implied_map(path[d], cells) if steps >= ahead else None
+            if p is not None and _maps_edges(adj, p):
+                steps -= ahead
                 return tuple(p)
-            leaves += 1
+            if nxt < 0:
+                leaves += 1
+                continue
+            for u in reversed(list(bits(cells[nxt]))):
+                stack.append((cells, ns, u, d))
         return None
 
     orbit = [1 << u for u in range(n)]  # orbit mask of each vertex under gens
@@ -766,7 +837,7 @@ def _automorphisms(adj: Sequence[int]) -> list:
             if p is not None:
                 gens.append(p)
                 for u, x in enumerate(p):
-                    if not (orbit[u] >> x) & 1:
+                    if u != x and not (orbit[u] >> x) & 1:
                         merged = orbit[u] | orbit[x]
                         for y in bits(merged):
                             orbit[y] = merged

@@ -129,12 +129,12 @@ class ConflictGraph:
 
 
 def _eop_conflict(g: Graph, e1, e2) -> bool:
-    # a third edge joining an endvertex of e1 to an endvertex of e2
-    s1, s2 = set(e1), set(e2)
+    # a third edge xy joining an endvertex x of e1 to an endvertex y of e2:
+    # xy is e1 exactly when y is in e1, and e2 exactly when x is in e2
+    adj = g.adj
     for x in e1:
-        row = g.adj[x]
         for y in e2:
-            if x != y and (row >> y) & 1 and {x, y} != s1 and {x, y} != s2:
+            if x != y and adj[x] >> y & 1 and y not in e1 and x not in e2:
                 return True
     return False
 
@@ -156,8 +156,10 @@ def _reach(adj: Sequence[int], rows: Sequence[int]) -> list:
     out = []
     for a in adj:
         row = 0
-        for u in bits(a):
-            row |= rows[u]
+        while a:
+            low = a & -a
+            row |= rows[low.bit_length() - 1]
+            a ^= low
         out.append(row)
     return out
 
@@ -192,8 +194,11 @@ def build_conflict_graph(g: Graph, kind: str) -> ConflictGraph:
         for a, b in g.edges:
             ends = inc[a] | inc[b]
             row = (reach[a] | reach[b]) & ~ends
-            for z in bits(adj[a] & adj[b]):
-                row |= inc[z] & ends
+            common = adj[a] & adj[b]
+            while common:
+                low = common & -common
+                row |= inc[low.bit_length() - 1] & ends
+                common ^= low
             conf.append(row)
     return ConflictGraph(g, kind, g.edges, tuple(conf))
 
@@ -228,25 +233,10 @@ def _greedy_size(count: int, adj: Sequence[int]) -> int:
 def _candidate_orbits(adj: Sequence[int], rem: int) -> list:
     """Non-singleton orbits of automorphisms of G[rem], as item masks by least item.
 
-    G[rem] is relabelled to 0..k-1 in item order, so least elements and
-    orbit order carry over.
+    The automorphisms act on rem in place and fix every other item, so the
+    orbits are closed over rem alone.
     """
-    items = list(bits(rem))
-    pos = {v: i for i, v in enumerate(items)}
-    rows = []
-    for v in items:
-        row = 0
-        for u in bits(adj[v] & rem):
-            row |= 1 << pos[u]
-        rows.append(row)
-    out = []
-    for o in orbit_masks(len(items), _automorphisms(rows)):
-        if o & (o - 1):
-            mask = 0
-            for i in bits(o):
-                mask |= 1 << items[i]
-            out.append(mask)
-    return out
+    return [o for o in orbit_masks(len(adj), _automorphisms(adj, rem), rem) if o & (o - 1)]
 
 
 def _search(
@@ -326,7 +316,10 @@ def _search(
         sets = [o for o in group if o & left]
         for o in sets:
             left &= ~o
-        sets += [1 << v for v in bits(left)]
+        while left:
+            low = left & -left
+            sets.append(low)
+            left ^= low
         if group:
             sets.sort(key=lambda s: s & -s)
         frames = []
@@ -380,12 +373,10 @@ def max_independent_set(
     """Exact MIS of a conflict graph (over items) or a plain graph (over vertices)."""
     edge_items = isinstance(c, ConflictGraph)
     if edge_items:
-        count, adj, cap, g = c.item_count, c.conflicts, _item_cap(max_items), c.base
-        unit = "items"
+        count, adj, g, unit = c.item_count, c.conflicts, c.base, "items"
     else:
-        count, adj, cap, g = c.n, c.adj, _vertex_cap(max_items), c
-        unit = "vertices"
-    _check_cap(count, cap, unit)
+        count, adj, g, unit = c.n, c.adj, c, "vertices"
+    _check_cap(count, _unit_cap(unit, max_items), unit)
     return _solve("mis", count, adj, g, edge_items)
 
 
@@ -395,17 +386,22 @@ def max_independent_set(
 _CACHE: dict = {}
 
 
-def _cached(name: str, g: Graph, fn, max_items: Optional[int], unit: Optional[str]):
+def _unit_cap(unit: str, max_items: Optional[int]) -> int:
+    return _item_cap(max_items) if unit == "items" else _vertex_cap(max_items)
+
+
+def _cached(name: str, g: Graph, fn, max_items: Optional[int], unit: Optional[str], cap=None):
     """``fn()``, cached under ``(name, g)`` when no ``max_items`` is passed.
 
-    The cap in force on ``unit`` (``"items"``, g's edges; ``"vertices"``; None for no
-    cap) is checked first, so a value solved under a higher cap is never returned
+    The cap on ``unit`` (``"items"``, g's edges; ``"vertices"``; None for no
+    cap), ``cap`` if the caller has resolved it and else the one in force, is
+    checked first, so a value solved under a higher cap is never returned
     past a lower one.
     """
-    if unit == "items":
-        _check_cap(g.m, _item_cap(max_items), unit)
-    elif unit == "vertices":
-        _check_cap(g.n, _vertex_cap(max_items), unit)
+    if unit is not None:
+        if cap is None:
+            cap = _unit_cap(unit, max_items)
+        _check_cap(g.m if unit == "items" else g.n, cap, unit)
     key = (name, g.n, g.edges)
     if max_items is None and key in _CACHE:
         return _CACHE[key]
@@ -424,12 +420,15 @@ def clear_cache() -> None:
 # ---------------------------------------------------------------------------
 
 def _mis_invariant(name: str, g: Graph, instance, max_items: Optional[int], unit: str):
-    # max_independent_set on instance(), renamed and cached under ``name``
+    # max_independent_set on instance(), renamed and cached under ``name``; the
+    # cap is read once, and the solve is held to it
+    cap = _unit_cap(unit, max_items)
+
     def solve():
-        res = max_independent_set(instance(), max_items)
+        res = max_independent_set(instance(), cap)
         return InvariantResult(name, res.value, res.witness, res.nodes)
 
-    return _cached(name, g, solve, max_items, unit)
+    return _cached(name, g, solve, max_items, unit, cap)
 
 
 def nu_i(g: Graph, max_items: Optional[int] = None) -> InvariantResult:

@@ -134,6 +134,51 @@ def test_generators_are_pinned_by_digest():
     assert digest.hexdigest() == "a814204f56fb1cd00cb1ed62b7b403f026f239a680ae0c57d62e013a83bed55f"
 
 
+def test_generators_under_work_limits_are_pinned_by_digest(monkeypatch):
+    # every seventh digest graph under ten work limits: a leaf search that
+    # skips a descent must charge the individualizations it skips, so that
+    # it runs out of work exactly where the full descent would
+    digest = hashlib.sha256()
+    corpus = list(digest_corpus())[::7]
+    for steps in (1, 2, 3, 5, 8, 13, 21, 40, 80, 200):
+        for rows in corpus:
+            monkeypatch.setattr(graph, "_AUT_WORK_LIMIT", len(rows) * steps)
+            digest.update(repr(_automorphisms(rows)).encode())
+    assert digest.hexdigest() == "b31441ab07cef7ece9bbf609a9a26dd5f6c60d449e3608206f633c448d31438c"
+
+
+def induced_rows(adj, domain):
+    """Rows of the subgraph induced on ``domain``, relabelled to 0..k-1 in vertex order."""
+    items = list(bits(domain))
+    pos = {v: i for i, v in enumerate(items)}
+    return [sum(1 << pos[u] for u in bits(adj[v] & domain)) for v in items], items
+
+
+def test_a_domain_gives_the_maps_of_the_relabelled_induced_subgraph():
+    # on each digest graph, three masks: a random one, all vertices but a
+    # few random ones, and all but the closed neighbourhood of a random
+    # vertex (a search child's candidates).  The maps found in place are
+    # those of G[domain] relabelled to 0..k-1, carried back, in order
+    rng = random.Random(22)
+    symmetric = 0
+    for rows in digest_corpus():
+        n = len(rows)
+        full = (1 << n) - 1
+        drop = sum(1 << v for v in rng.sample(range(n), min(n, 3)))
+        v = rng.randrange(n)
+        for domain in (rng.getrandbits(n), full & ~drop, full & ~(rows[v] | 1 << v)):
+            sub, items = induced_rows(rows, domain)
+            want = []
+            for q in _automorphisms(sub):
+                p = list(range(n))
+                for i, j in enumerate(q):
+                    p[items[i]] = items[j]
+                want.append(tuple(p))
+            assert _automorphisms(rows, domain) == want
+            symmetric += bool(want)
+    assert symmetric > 3800  # of 4,998 domains
+
+
 def assert_equitable(adj, cells, ns):
     # the cells tile 0..n-1 by position, ns lists the non-singleton starts,
     # and the vertices of each cell agree on their neighbour count in each cell
@@ -375,9 +420,9 @@ def counting_node_automorphisms(monkeypatch):
     """Sizes of the subproblems whose automorphisms the search asks for."""
     sizes = []
 
-    def counting(rows):
-        sizes.append(len(rows))
-        return _automorphisms(rows)
+    def counting(adj, domain):
+        sizes.append(domain.bit_count())
+        return _automorphisms(adj, domain)
 
     monkeypatch.setattr(invariants, "_automorphisms", counting)
     return sizes

@@ -98,6 +98,29 @@ def test_conflict_builder_matches_pairwise_definition():
             assert cg.conflicts == pairwise_conflicts(g, kind), (g.edges, kind)
 
 
+def set_form_eop_conflict(g, e1, e2):
+    # the edge open packing conflict written with sets: a third edge {x, y},
+    # x an end of e1 and y an end of e2, that is neither e1 nor e2
+    s1, s2 = set(e1), set(e2)
+    return any(
+        x != y and g.has_edge(x, y) and {x, y} != s1 and {x, y} != s2
+        for x in e1
+        for y in e2
+    )
+
+
+def test_eop_conflict_matches_the_set_form_on_small_labelled_graphs():
+    pairs = 0
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            for e1, e2 in itertools.product(g.edges, repeat=2):
+                assert _eop_conflict(g, e1, e2) == set_form_eop_conflict(g, e1, e2), (g.edges, e1, e2)
+                pairs += 1
+    # every ordered edge pair of every labelled graph on at most 5 vertices:
+    # the sum of m^2 over the graphs on N vertex pairs is N(N+1)2^(N-2)
+    assert pairs == 1 + 24 + 672 + 28_160
+
+
 def vertex_conflicts(g, name):
     # the literal per-pair definitions: a shared neighbour, or distance <= k
     d = distances(g)
@@ -193,6 +216,25 @@ def test_a_cached_value_obeys_a_lower_cap(monkeypatch, solve, var, message):
         solve(path(5))
     monkeypatch.setenv(var, "5")
     assert solve(path(5)).value == value
+
+
+def test_a_miss_reads_the_cap_once(monkeypatch):
+    # a miss checks the cap and solves under it from one read; a hit reads again
+    reads = []
+    env_cap = invariants._env_cap
+
+    def counting(var, default):
+        reads.append(var)
+        return env_cap(var, default)
+
+    monkeypatch.setattr(invariants, "_env_cap", counting)
+    invariants.clear_cache()
+    assert nu_i(cycle(6)).value == 2
+    assert reads == ["EOPACK_MAX_ITEMS"]
+    assert nu_i(cycle(6)).value == 2
+    assert reads == ["EOPACK_MAX_ITEMS"] * 2
+    assert alpha(cycle(7)).value == 3
+    assert reads == ["EOPACK_MAX_ITEMS"] * 2 + ["EOPACK_MAX_VERTICES"]
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +577,15 @@ def test_enumerate_optimal_with_greedy_incumbent(g6, greedy_below_optimum):
 
 
 def test_search_node_ceilings_on_natural_cubes():
-    # node counts are exact; before the greedy incumbent these took 1,889
-    # and 33,439 nodes, under max-degree branching 1,851 and 674, under
-    # branch-set branching 1,011 and 154
-    assert rho_eo(hypercube(5), max_items=1000).nodes <= 1_163
-    assert distance_packing(hypercube(7), 2, max_items=1000).nodes <= 177
+    # node counts are exact; before the greedy incumbent rho_eo(Q_5) and
+    # rho_2(Q_7) took 1,889 and 33,439 nodes, under max-degree branching
+    # 1,851 and 674.  These are the seed-0 instances of the benchmark's
+    # hypercube-frontier workload, 1,585 nodes in all
+    counts = [
+        rho_eo(hypercube(5), max_items=1000).nodes,
+        nu_i(hypercube(6), max_items=1000).nodes,
+        distance_packing(hypercube(7), 2, max_items=1000).nodes,
+        distance_packing(hypercube(8), 3, max_items=1000).nodes,
+        rho_eo(hypercube(6), max_items=1000).nodes,
+    ]
+    assert counts == [1_011, 24, 154, 38, 358]
