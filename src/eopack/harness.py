@@ -123,8 +123,6 @@ def _jsonable(x):
 
 # check id -> Check, in declaration order
 REGISTRY: dict = {}
-# run_suite runs a suite in process until this many seconds, about the pool's start-up cost
-_SERIAL_S = 0.05
 # checks that solve the same product graphs; run_suite hands the selected members of each
 # chain to one pool task, run in registry order, so later members hit that worker's value
 # cache instead of solving the products again in another worker
@@ -892,21 +890,23 @@ def run_suite(
 ) -> tuple:
     """Run all checks whose id or corpus contains the filter; returns (reports, summary).
 
-    Checks run in process, in registry order, for ``_SERIAL_S``; the rest run as pool tasks
-    (:func:`_tasks`) in forked workers (:func:`_workers`), each timing its own ``wall_ms``.
+    The checks run as pool tasks (:func:`_tasks`) in forked workers (:func:`_workers`), each
+    timing its own ``wall_ms``, or in process, in registry order, when there is one worker.
+    Tasks are submitted last-registered first: the longest checks come last in the registry,
+    so a worker that starts them early leaves the short ones to fill the other workers' tails.
     Reports come back in registry order, ``error`` for every check of a task whose worker died.
     """
     checks = list_checks(name_filter)
-    ids = [c.id for c in checks]
-    done, start = {}, time.monotonic()
-    while ids and (time.monotonic() - start < _SERIAL_S or _workers(len(_tasks(ids))) <= 1):
-        cid = ids.pop(0)
-        done[cid] = run_check(cid, budget, seed, max_n)
-    if ids:
+    tasks = _tasks([c.id for c in checks])
+    workers = _workers(len(tasks))
+    if workers <= 1:
+        done = {c.id: run_check(c.id, budget, seed, max_n) for c in checks}
+    else:
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
         from multiprocessing import get_context
-        tasks = _tasks(ids)
-        with ProcessPoolExecutor(_workers(len(tasks)), mp_context=get_context("fork")) as pool:
+        done = {}
+        tasks.reverse()
+        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
             futures = [pool.submit(_run_task, task, budget, seed, max_n) for task in tasks]
         for task, future in zip(tasks, futures):
             try:

@@ -17,14 +17,15 @@ Solves of at least ``SYMMETRY_MIN_ITEMS`` items (96) use symmetry.  The
 root's group lifts automorphisms of the base graph
 (:func:`eopack.graph.automorphism_generators`) to the items; below a root
 with a non-trivial orbit, each unpruned node with at least
-``SYMMETRY_MIN_ITEMS`` candidates uses the automorphisms of its own
-conflict subgraph G[rem], until a node finds only singleton orbits, below
-which the group is trivial.  This is exact, since a subproblem's value
-depends only on G[rem], and it brings ``rho_eo(Q_6)`` to 358 nodes,
-``rho_eo(Q_7)`` to 138,893 and the code sizes A(8,3) = ``rho_2(Q_8)`` and
-A(9,4) = ``rho_3(Q_9)`` to about a second each.  Smaller solves, trivial
-root groups and :func:`enumerate_optimal` (which needs every optimum, and
-reaches each once) use the trivial group.
+``SYMMETRY_MIN_ITEMS`` candidates and at least two items in B uses the
+automorphisms of its own conflict subgraph G[rem], until a node finds only
+singleton orbits, below which the group is trivial.  A node whose B holds
+one item has one child whatever its group, so it asks for none.  This is
+exact, since a subproblem's value depends only on G[rem], and it brings
+``rho_eo(Q_6)`` to 358 nodes, ``rho_eo(Q_7)`` to 138,893 and the code sizes
+A(8,3) = ``rho_2(Q_8)`` and A(9,4) = ``rho_3(Q_9)`` to about a second each.
+Smaller solves, trivial root groups and :func:`enumerate_optimal` (which
+needs every optimum, and reaches each once) use the trivial group.
 """
 
 from __future__ import annotations
@@ -268,12 +269,14 @@ def _search(
 
     ``orbits`` are the non-singleton orbits of a group of automorphisms of
     ``adj``, as masks, and form the root's group.  Below such a root, every
-    unpruned node with at least ``SYMMETRY_MIN_ITEMS`` candidates uses the
-    automorphisms of its own subproblem, the conflict subgraph G[rem]
-    (:func:`_candidate_orbits`; orbital branching, Ostrowski et al., Math.
-    Prog. 126, 2011).  That is exact too: what the subtree can add depends
-    only on G[rem].  A node whose orbits are all singletons, and everything
-    below it, uses the trivial group.
+    unpruned node with at least ``SYMMETRY_MIN_ITEMS`` candidates and at
+    least two items in B uses the automorphisms of its own subproblem, the
+    conflict subgraph G[rem] (:func:`_candidate_orbits`; orbital branching,
+    Ostrowski et al., Math. Prog. 126, 2011).  That is exact too: what the
+    subtree can add depends only on G[rem].  A node whose orbits are all
+    singletons, and everything below it, uses the trivial group.  A node
+    whose B holds one item has one child whatever its group, so it asks for
+    none and leaves its children's groups to them.
     """
     tie = 0 if all_optima else 1
     best = _greedy_size(count, adj) - tie
@@ -310,7 +313,7 @@ def _search(
         group = ()
         if sym and nodes == 1:
             group = orbits
-        elif sym and rem.bit_count() >= SYMMETRY_MIN_ITEMS:
+        elif sym and left & (left - 1) and rem.bit_count() >= SYMMETRY_MIN_ITEMS:
             group = _candidate_orbits(adj, rem)
             sym = bool(group)
         sets = [o for o in group if o & left]

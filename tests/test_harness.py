@@ -342,7 +342,6 @@ def test_zero_budget_ends_each_runner_at_its_first_gate():
 
 def _force_workers(monkeypatch, workers: int) -> None:
     monkeypatch.setattr(harness, "_workers", lambda n_checks: min(n_checks, workers))
-    monkeypatch.setattr(harness, "_SERIAL_S", 0)
 
 
 @pytest.mark.parametrize(
@@ -395,6 +394,48 @@ def test_pooled_reports_come_back_in_registry_order(monkeypatch):
         ("lex-nu-remark", "pass"),
     ]
     assert reports[0].wall_ms >= 500
+
+
+def test_two_workers_run_no_check_in_the_parent(monkeypatch):
+    parent = os.getpid()
+
+    def in_a_worker(check_id, *args):
+        if os.getpid() == parent:
+            raise AssertionError(f"{check_id} ran in the parent process")
+        return run_check(check_id, *args)
+
+    monkeypatch.setattr(harness, "run_check", in_a_worker)
+    _force_workers(monkeypatch, 2)
+    _, summary = run_suite("lex", max_n=2)
+    assert summary["pass"] == summary["total"] > 2
+
+
+def test_the_pool_receives_the_last_registered_tasks_first(monkeypatch):
+    submitted = []
+    submit = concurrent.futures.ProcessPoolExecutor.submit
+
+    def recording(self, fn, task, *args):
+        submitted.append(task)
+        return submit(self, fn, task, *args)
+
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit", recording)
+    _force_workers(monkeypatch, 2)
+    reports, _ = run_suite("lex", max_n=2)
+    assert submitted == [
+        ["lex-strong-kn"],
+        ["lex-nu-remark"],
+        ["lex-eop-sharpness"],
+        ["lex-eop-bounds", "lex-min-box"],
+        ["lex-nu-equality"],
+    ]
+    assert [r.id for r in reports] == [
+        "lex-nu-equality",
+        "lex-eop-bounds",
+        "lex-eop-sharpness",
+        "lex-nu-remark",
+        "lex-min-box",
+        "lex-strong-kn",
+    ]
 
 
 def test_no_worker_outlives_the_suite(monkeypatch):
@@ -461,7 +502,6 @@ _PRINT_THEN_SUITE = """
 from eopack import harness
 print("printed before the suite")
 harness._workers = lambda n_checks: min(n_checks, 2)
-harness._SERIAL_S = 0
 reports, _ = harness.run_suite("lex-nu", max_n=2)
 assert [r.status for r in reports] == ["pass", "pass"]
 """
@@ -489,26 +529,18 @@ def test_a_line_printed_before_the_suite_comes_out_once():
 
 
 def _two_cpus_no_pool(monkeypatch) -> None:
-    """Two available CPUs, no serial start, and a pool that fails the test if made."""
+    """Two available CPUs, and a pool that fails the test if made."""
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was created")
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(harness, "_SERIAL_S", 0)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
 
 
 def test_two_cpus_give_two_workers(monkeypatch):
     _two_cpus_no_pool(monkeypatch)
     assert [harness._workers(n) for n in (1, 2, 5)] == [1, 2, 2]
-
-
-def test_a_suite_within_the_serial_start_makes_no_pool(monkeypatch):
-    _two_cpus_no_pool(monkeypatch)
-    monkeypatch.setattr(harness, "_SERIAL_S", 60)
-    _, summary = run_suite("lex", max_n=2)
-    assert summary["pass"] == summary["total"] > 2
 
 
 def test_a_second_thread_keeps_the_suite_in_process(monkeypatch):
@@ -546,7 +578,6 @@ def _suite_statuses() -> list:
 
 def test_a_suite_in_a_daemonic_worker_runs_in_process(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(harness, "_SERIAL_S", 0)
     # a daemonic process may not start children, so a pool there would raise
     with multiprocessing.get_context("fork").Pool(1) as pool:
         statuses = pool.apply_async(_suite_statuses).get(timeout=120)
