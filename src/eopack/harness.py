@@ -891,14 +891,15 @@ def run_suite(
     """Run all checks whose id or corpus contains the filter; returns (reports, summary).
 
     The checks run as pool tasks (:func:`_tasks`) in forked workers (:func:`_workers`), each
-    timing its own ``wall_ms``, or in process, in registry order, when there is one worker.
+    timing its own ``wall_ms``, or in process, in registry order, when there is one worker
+    or a budget of at most 0 s, under which every check is skipped before its first instance.
     Tasks are submitted last-registered first: the longest checks come last in the registry,
     so a worker that starts them early leaves the short ones to fill the other workers' tails.
     Reports come back in registry order, ``error`` for every check of a task whose worker died.
     """
     checks = list_checks(name_filter)
     tasks = _tasks([c.id for c in checks])
-    workers = _workers(len(tasks))
+    workers = 1 if budget is not None and budget <= 0 else _workers(len(tasks))
     if workers <= 1:
         done = {c.id: run_check(c.id, budget, seed, max_n) for c in checks}
     else:

@@ -67,16 +67,11 @@ def _env_cap(var: str, default: int) -> int:
     return value
 
 
-def _item_cap(override: "Optional[int]") -> int:
-    if override is not None:
-        return override
-    return _env_cap("EOPACK_MAX_ITEMS", DEFAULT_MAX_ITEMS)
-
-
-def _vertex_cap(override: "Optional[int]") -> int:
-    if override is not None:
-        return override
-    return _env_cap("EOPACK_MAX_VERTICES", DEFAULT_MAX_VERTICES)
+# the cap setting of each unit a solver counts: (environment variable, default)
+_CAPS = {
+    "items": ("EOPACK_MAX_ITEMS", DEFAULT_MAX_ITEMS),
+    "vertices": ("EOPACK_MAX_VERTICES", DEFAULT_MAX_VERTICES),
+}
 
 
 def env_caps() -> tuple:
@@ -85,7 +80,7 @@ def env_caps() -> tuple:
     Read from EOPACK_MAX_ITEMS / EOPACK_MAX_VERTICES, else the defaults;
     raises :class:`CapSettingError` naming a malformed variable.
     """
-    return _item_cap(None), _vertex_cap(None)
+    return tuple(_env_cap(*setting) for setting in _CAPS.values())
 
 
 EDGE_KINDS = ("induced_matching", "eop")
@@ -335,12 +330,19 @@ def _search(
     return best, [tuple(bits(c)) for c in found], nodes
 
 
-def _check_cap(count: int, cap: int, unit: str) -> None:
+def _gate(count: int, unit: str, max_items: Optional[int] = None) -> int:
+    """The cap on ``unit``, ``max_items`` if given and else the one in force (read once).
+
+    Every solver passes here before its cache or its search; ``count`` past
+    the cap raises :class:`CapacityError`.
+    """
+    cap = _env_cap(*_CAPS[unit]) if max_items is None else max_items
     if count > cap:
         raise CapacityError(
             f"{count} {unit} exceed the exact-solver cap of {cap}; "
             "use a witness-only construction instead"
         )
+    return cap
 
 
 def _item_orbits(g: Graph, edge_items: bool) -> list:
@@ -352,7 +354,7 @@ def _item_orbits(g: Graph, edge_items: bool) -> list:
     structure of g alone, so a lifted automorphism of g is an automorphism
     of the conflict graph.
     """
-    gens = _cached("aut", g, lambda: automorphism_generators(g), None, None)
+    gens = _cached("aut", g, lambda: automorphism_generators(g))
     if edge_items:
         index = g.edge_index
         gens = [[index[(min(p[u], p[v]), max(p[u], p[v]))] for u, v in g.edges] for p in gens]
@@ -379,7 +381,7 @@ def max_independent_set(
         count, adj, g, unit = c.item_count, c.conflicts, c.base, "items"
     else:
         count, adj, g, unit = c.n, c.adj, c, "vertices"
-    _check_cap(count, _unit_cap(unit, max_items), unit)
+    _gate(count, unit, max_items)
     return _solve("mis", count, adj, g, edge_items)
 
 
@@ -389,22 +391,12 @@ def max_independent_set(
 _CACHE: dict = {}
 
 
-def _unit_cap(unit: str, max_items: Optional[int]) -> int:
-    return _item_cap(max_items) if unit == "items" else _vertex_cap(max_items)
+def _cached(name: str, g: Graph, fn, max_items: Optional[int] = None):
+    """``fn()``, cached under ``(name, g)``; a call passing ``max_items`` bypasses the cache.
 
-
-def _cached(name: str, g: Graph, fn, max_items: Optional[int], unit: Optional[str], cap=None):
-    """``fn()``, cached under ``(name, g)`` when no ``max_items`` is passed.
-
-    The cap on ``unit`` (``"items"``, g's edges; ``"vertices"``; None for no
-    cap), ``cap`` if the caller has resolved it and else the one in force, is
-    checked first, so a value solved under a higher cap is never returned
-    past a lower one.
+    Callers pass :func:`_gate` first, so a value solved under a higher cap
+    is never returned past a lower one.
     """
-    if unit is not None:
-        if cap is None:
-            cap = _unit_cap(unit, max_items)
-        _check_cap(g.m if unit == "items" else g.n, cap, unit)
     key = (name, g.n, g.edges)
     if max_items is None and key in _CACHE:
         return _CACHE[key]
@@ -424,14 +416,14 @@ def clear_cache() -> None:
 
 def _mis_invariant(name: str, g: Graph, instance, max_items: Optional[int], unit: str):
     # max_independent_set on instance(), renamed and cached under ``name``; the
-    # cap is read once, and the solve is held to it
-    cap = _unit_cap(unit, max_items)
+    # cap is read once, checked before the cache, and the solve is held to it
+    cap = _gate(g.m if unit == "items" else g.n, unit, max_items)
 
     def solve():
         res = max_independent_set(instance(), cap)
         return InvariantResult(name, res.value, res.witness, res.nodes)
 
-    return _cached(name, g, solve, max_items, unit, cap)
+    return _cached(name, g, solve, max_items)
 
 
 def nu_i(g: Graph, max_items: Optional[int] = None) -> InvariantResult:
@@ -467,7 +459,8 @@ def _vertex_packing(name: str, g: Graph, rows, max_items: Optional[int]):
         conf = [row & ~(1 << v) for v, row in enumerate(rows())]
         return _solve(name, g.n, conf, g, False)
 
-    return _cached(name, g, solve, max_items, "vertices")
+    _gate(g.n, "vertices", max_items)
+    return _cached(name, g, solve, max_items)
 
 
 def rho_o(g: Graph, max_items: Optional[int] = None) -> InvariantResult:
@@ -536,7 +529,8 @@ def gamma(g: Graph, max_items: Optional[int] = None) -> InvariantResult:
             stack.extend((unc & ~closed[v], chosen + (v,)) for v in reversed(cands))
         return InvariantResult("gamma", best_size, tuple(best), nodes)
 
-    return _cached("gamma", g, solve, max_items, "vertices")
+    _gate(g.n, "vertices", max_items)
+    return _cached("gamma", g, solve, max_items)
 
 
 def has_perfect_code(g: Graph) -> Optional[tuple]:
@@ -547,7 +541,7 @@ def has_perfect_code(g: Graph) -> Optional[tuple]:
     vertex cap raise :class:`CapacityError`.
     """
     n = g.n
-    _check_cap(n, _vertex_cap(None), "vertices")
+    _gate(n, "vertices")
     closed = [g.adj[v] | (1 << v) for v in range(n)]
     full = (1 << n) - 1
     # frames are (covered set, code so far); children are pushed in reverse,
@@ -626,5 +620,5 @@ def verify_witness(g: Graph, w, kind: str, k: Optional[int] = None) -> bool:
 
 def enumerate_optimal(c: ConflictGraph, max_items: Optional[int] = None) -> list:
     """All maximum independent sets of a conflict graph, as sorted witnesses."""
-    _check_cap(c.item_count, _item_cap(max_items), "items")
+    _gate(c.item_count, "items", max_items)
     return _search(c.item_count, c.conflicts, all_optima=True)[1]

@@ -445,15 +445,23 @@ def test_no_worker_outlives_the_suite(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was created")
+
+
 @pytest.mark.parametrize("workers, name_filter", [(1, "lex"), (2, "spider-eq")])
 def test_one_worker_or_one_check_runs_without_a_pool(monkeypatch, workers, name_filter):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was created")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     _force_workers(monkeypatch, workers)
     _, summary = run_suite(name_filter, max_n=2)
     assert summary["pass"] == summary["total"] > 0
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_a_suite_with_no_budget_runs_without_a_pool(monkeypatch, budget):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    _force_workers(monkeypatch, 2)
+    assert _outcomes(budget=budget) == {cid: ("skipped", 0, 0) for cid in ALL_CHECK_IDS}
 
 
 def _kill_a_worker(monkeypatch, name_filter, dying) -> list:

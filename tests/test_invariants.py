@@ -237,6 +237,61 @@ def test_a_miss_reads_the_cap_once(monkeypatch):
     assert reads == ["EOPACK_MAX_ITEMS"] * 2 + ["EOPACK_MAX_VERTICES"]
 
 
+@pytest.mark.parametrize(
+    "solve, instance, count, unit, takes_max_items",
+    [
+        (max_independent_set, lambda: build_conflict_graph(path(5), "eop"), 4, "items", True),
+        (max_independent_set, lambda: path(5), 5, "vertices", True),
+        (enumerate_optimal, lambda: build_conflict_graph(path(5), "eop"), 4, "items", True),
+        (has_perfect_code, lambda: path(5), 5, "vertices", False),
+    ],
+    ids=["mis-items", "mis-vertices", "enumerate_optimal", "has_perfect_code"],
+)
+def test_uncached_entries_solve_up_to_their_cap(
+    monkeypatch, solve, instance, count, unit, takes_max_items
+):
+    c = instance()
+    var = f"EOPACK_MAX_{unit.upper()}"
+    refused = f"^{count} {unit} exceed the exact-solver cap of {count - 1};"
+    monkeypatch.setenv(var, str(count - 1))
+    with pytest.raises(CapacityError, match=refused):
+        solve(c)
+    monkeypatch.setenv(var, str(count))
+    want = solve(c)
+    if takes_max_items:
+        # max_items, not the environment, sets the cap
+        with pytest.raises(CapacityError, match=refused):
+            solve(c, max_items=count - 1)
+        monkeypatch.setenv(var, "0")
+        assert solve(c, max_items=count) == want
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [nu_i, rho_eo, alpha, rho_o, lambda g, **kw: distance_packing(g, 2, **kw)],
+    ids=["nu_i", "rho_eo", "alpha", "rho_o", "rho_2"],
+)
+def test_max_items_bypasses_the_value_cache(monkeypatch, solve):
+    solves = []
+    inner = invariants._solve
+
+    def counting(*args):
+        solves.append(args[0])
+        return inner(*args)
+
+    monkeypatch.setattr(invariants, "_solve", counting)
+    invariants.clear_cache()
+    g = cycle(7)
+    capped = solve(g, max_items=7)
+    assert (invariants._CACHE, len(solves)) == ({}, 1)
+    assert solve(g) == capped and len(solves) == 2
+    stored = dict(invariants._CACHE)
+    # a value already cached is solved again, and the cache is left as it was
+    assert solve(g, max_items=7) == capped and len(solves) == 3
+    assert invariants._CACHE == stored
+    assert solve(g) == capped and len(solves) == 3
+
+
 # ---------------------------------------------------------------------------
 # edge invariants against brute force over all edge subsets
 # ---------------------------------------------------------------------------
