@@ -4,14 +4,15 @@ Edge invariants (induced matching, edge open packing) and vertex packings
 (open, 2-, 3-packing) reduce to maximum independent set on a conflict graph
 whose rows one neighbourhood step, :func:`_reach`, builds, so a single
 exact solver backs every invariant here.  The solver is deterministic:
-it starts from a min-degree greedy incumbent, and every node follows one
-child rule.  A greedy clique cover of the candidates either prunes the node
-or leaves a branch set B uncovered.  The sets S_1 < ... < S_k, by least
-item, are the orbits of the node's automorphism group that meet B (the
-singletons of B under the trivial group); child i includes min S_i and
-excludes S_1..S_(i-1).  A set too large for the cover meets B, so a group
-element carries it into the child of the first S_i it meets.  The children
-are explored in order, so witnesses are reproducible.
+its first witness is a min-degree greedy set, so it searches only for a
+larger one, and every node follows one child rule.  A greedy clique cover
+of the candidates either prunes the node or leaves a branch set B
+uncovered.  The sets S_1 < ... < S_k, by least item, are the orbits of the
+node's automorphism group that meet B (the singletons of B under the
+trivial group); child i includes min S_i and excludes S_1..S_(i-1).  A set
+too large for the cover meets B, so a group element carries it into the
+child of the first S_i it meets.  The children are explored in order, so
+witnesses are reproducible.
 
 Solves of at least ``SYMMETRY_MIN_ITEMS`` items (96) use symmetry.  The
 root's group lifts automorphisms of the base graph
@@ -22,7 +23,7 @@ automorphisms of its own conflict subgraph G[rem], until a node finds only
 singleton orbits, below which the group is trivial.  A node whose B holds
 one item has one child whatever its group, so it asks for none.  This is
 exact, since a subproblem's value depends only on G[rem], and it brings
-``rho_eo(Q_6)`` to 358 nodes, ``rho_eo(Q_7)`` to 138,893 and the code sizes
+``rho_eo(Q_6)`` to 365 nodes, ``rho_eo(Q_7)`` to 106,922 and the code sizes
 A(8,3) = ``rho_2(Q_8)`` and A(9,4) = ``rho_3(Q_9)`` to about a second each.
 Smaller solves, trivial root groups and :func:`enumerate_optimal` (which
 needs every optimum, and reaches each once) use the trivial group.
@@ -203,10 +204,10 @@ def build_conflict_graph(g: Graph, kind: str) -> ConflictGraph:
 # branch-and-bound maximum independent set core
 # ---------------------------------------------------------------------------
 
-def _greedy_size(count: int, adj: Sequence[int]) -> int:
-    """Size of a min-degree greedy independent set (ties to the lowest index)."""
+def _greedy_set(count: int, adj: Sequence[int]) -> int:
+    """A min-degree greedy independent set (ties to the lowest index), as a mask."""
     rem = (1 << count) - 1
-    size = 0
+    chosen = 0
     while rem:
         best_v = -1
         best_d = count
@@ -222,8 +223,8 @@ def _greedy_size(count: int, adj: Sequence[int]) -> int:
                 if not d:
                     break
         rem &= ~(adj[best_v] | (1 << best_v))
-        size += 1
-    return size
+        chosen |= 1 << best_v
+    return chosen
 
 
 def _candidate_orbits(adj: Sequence[int], rem: int) -> list:
@@ -240,17 +241,19 @@ def _search(
 ):
     """Deterministic exact MIS on an explicit stack; returns (size, witnesses, nodes).
 
-    The incumbent starts at the size of a min-degree greedy independent set
-    (a pass not counted in ``nodes``).  Each node covers its candidates
-    ``rem`` greedily by at most need - 1 cliques, ``need`` being the size a
-    set must reach to count (beat the best so far, or equal it with
-    ``all_optima``).  If the cliques cover ``rem``, the node is pruned: an
-    independent set meets each clique at most once.  Otherwise the
-    uncovered candidates form the branch set B.  The node's group splits
-    B's items into sets S_1 < ... < S_k by least item: the orbits that meet
-    B, and the items of B outside every orbit as singletons.  Child i
-    includes r_i = min S_i and excludes S_1..S_(i-1) and N[r_i], and child
-    1 is explored first.  The witnesses are sorted.
+    The incumbent starts as a min-degree greedy independent set (a pass
+    not counted in ``nodes``).  It is the first witness, so the search only
+    has to find or rule out a larger set; with ``all_optima`` only its size
+    is kept, since the sets of that size are still to be listed.  Each node
+    covers its candidates ``rem`` greedily by at most need - 1 cliques,
+    ``need`` being the size a set must reach to count (beat the best so
+    far, or equal it with ``all_optima``).  If the cliques cover ``rem``,
+    the node is pruned: an independent set meets each clique at most once.
+    Otherwise the uncovered candidates form the branch set B.  The node's
+    group splits B's items into sets S_1 < ... < S_k by least item: the
+    orbits that meet B, and the items of B outside every orbit as
+    singletons.  Child i includes r_i = min S_i and excludes S_1..S_(i-1)
+    and N[r_i], and child 1 is explored first.  The witnesses are sorted.
 
     This is exact: a set of ``need`` items from ``rem`` cannot fit in the
     need - 1 cliques, so it meets B.  If S_i is the first set it meets, a
@@ -260,7 +263,8 @@ def _search(
     to the complement), and each set of ``need`` items is reached once,
     through its least item of B; so with ``all_optima``, which uses no
     group, the witnesses are every maximum set in depth-first order.
-    Otherwise the single witness is the first maximum set found.
+    Otherwise the single witness is the greedy set if no larger set
+    exists, and else the first maximum set found.
 
     ``orbits`` are the non-singleton orbits of a group of automorphisms of
     ``adj``, as masks, and form the root's group.  Below such a root, every
@@ -273,9 +277,10 @@ def _search(
     whose B holds one item has one child whatever its group, so it asks for
     none and leaves its children's groups to them.
     """
+    greedy = _greedy_set(count, adj)
+    best = greedy.bit_count()
     tie = 0 if all_optima else 1
-    best = _greedy_size(count, adj) - tie
-    found: list = []
+    found: list = [] if all_optima else [greedy]
     nodes = 0
     # frames are (remaining candidates, size, chosen vertices, symmetric?),
     # sets as bitmasks

@@ -3,6 +3,7 @@
 Skipped when networkx is not installed; the package itself never imports it.
 """
 
+import hashlib
 import itertools
 import math
 
@@ -25,10 +26,13 @@ from eopack.graph import (
     write_graph6,
 )
 from eopack.invariants import (
+    _greedy_set,
+    _search,
     alpha,
     build_conflict_graph,
     distance_packing,
     enumerate_optimal,
+    max_independent_set,
     rho_o,
 )
 
@@ -144,21 +148,23 @@ def test_induced_matching_conflicts_match_square_of_line_graph():
             assert cg.conflicts[i] == want, (g.edges, e)
 
 
+def maximum_sets(count, rows):
+    """Every maximum independent set of the conflict rows, sorted: the largest cliques of the complement."""
+    conflict = nx.Graph()
+    conflict.add_nodes_from(range(count))
+    conflict.add_edges_from((i, j) for i in range(count) for j in bits(rows[i]) if i < j)
+    cliques = list(nx.find_cliques(nx.complement(conflict))) or [[]]
+    top = max(len(c) for c in cliques)
+    return sorted(tuple(sorted(c)) for c in cliques if len(c) == top)
+
+
 def test_enumerate_optimal_matches_maximum_cliques_of_complement():
     for g in corpus():
         for kind in ("induced_matching", "eop"):
             cg = build_conflict_graph(g, kind)
-            conflict = nx.Graph()
-            conflict.add_nodes_from(range(cg.item_count))
-            conflict.add_edges_from(
-                (i, j) for i in range(cg.item_count) for j in bits(cg.conflicts[i]) if i < j
-            )
-            cliques = list(nx.find_cliques(nx.complement(conflict))) or [[]]
-            top = max(len(c) for c in cliques)
-            theirs = sorted(tuple(sorted(c)) for c in cliques if len(c) == top)
             ours = enumerate_optimal(cg)
             assert len(set(ours)) == len(ours)
-            assert sorted(ours) == theirs, (g.edges, kind)
+            assert sorted(ours) == maximum_sets(cg.item_count, cg.conflicts), (g.edges, kind)
 
 
 def shares_a_neighbour(h):
@@ -186,3 +192,46 @@ def test_vertex_packings_match_max_weight_clique():
             assert res.value == size == len(res.witness), (g.edges, res.name)
             pairs = itertools.combinations(res.witness, 2)
             assert not any(conflict.has_edge(u, v) for u, v in pairs), (g.edges, res.name)
+
+
+def differential_instances():
+    """(graph, kind, instance, item count, conflict rows) of eop, induced_matching and alpha.
+
+    The graphs are seeded random graphs on at most 10 vertices, at three densities.
+    """
+    for i in range(60):
+        g = random_graph(2 + i % 9, ("1/4", "1/2", "3/4")[i % 3], seed=6000 + i)
+        for kind in ("eop", "induced_matching"):
+            cg = build_conflict_graph(g, kind)
+            yield g, kind, cg, cg.item_count, cg.conflicts
+        yield g, "alpha", g, g.n, g.adj
+
+
+def test_witness_is_the_greedy_set_unless_a_larger_set_exists():
+    # the search starts from the min-degree greedy set and looks only for a
+    # larger one, so the single witness is that set exactly when it is a
+    # maximum, and otherwise a maximum set found by the search
+    outcomes = set()
+    for g, kind, c, count, rows in differential_instances():
+        theirs = maximum_sets(count, rows)
+        witness = max_independent_set(c).witness
+        greedy = tuple(bits(_greedy_set(count, rows)))
+        assert witness in theirs, (g.edges, kind)
+        optimal = len(greedy) == len(witness)
+        assert (witness == greedy) == optimal, (g.edges, kind)
+        outcomes.add(optimal)
+    assert outcomes == {False, True}
+
+
+# the digest of every list, taken before the search started from the greedy
+# set as its witness: listing all optima keeps only the greedy set's size
+ALL_OPTIMA_SHA256 = "41bcc3c801b42922cf93212941c0287421920f421039edae662b7f038867145e"
+
+
+def test_all_optima_are_the_maximum_sets_in_a_pinned_order():
+    digest = hashlib.sha256()
+    for g, kind, c, count, rows in differential_instances():
+        ours = _search(count, rows, all_optima=True)[1] if kind == "alpha" else enumerate_optimal(c)
+        assert sorted(ours) == maximum_sets(count, rows), (g.edges, kind)
+        digest.update(repr(ours).encode())
+    assert digest.hexdigest() == ALL_OPTIMA_SHA256

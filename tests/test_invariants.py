@@ -6,6 +6,7 @@ import pytest
 
 from eopack.graph import (
     Graph,
+    bits,
     complete,
     cycle,
     distances,
@@ -24,7 +25,7 @@ from eopack.invariants import (
     CapacityError,
     InvariantResult,
     _eop_conflict,
-    _greedy_size,
+    _greedy_set,
     _im_conflict,
     _search,
     alpha,
@@ -519,10 +520,11 @@ def test_golden_witnesses_frozen():
     # fixed branching rules make these stable across runs and platforms
     assert rho_eo(path(7)).witness == (0, 1, 4, 5)
     assert nu_i(path(5)).witness == (0, 3)
-    # (0, 2, 8, 9) under max-degree branching; (2, 4, 5, 6) is the first
-    # optimum under branch-set branching
-    assert alpha(petersen()).witness == (2, 4, 5, 6)
-    assert verify_witness(petersen(), (2, 4, 5, 6), "k_packing", 1)
+    # (0, 2, 8, 9) under max-degree branching, (2, 4, 5, 6) as the first
+    # optimum under branch-set branching, and (0, 2, 8, 9) again as the
+    # min-degree greedy set, which the search starts from and cannot beat
+    assert alpha(petersen()).witness == (0, 2, 8, 9)
+    assert verify_witness(petersen(), (0, 2, 8, 9), "k_packing", 1)
     assert gamma(hypercube(3)).witness == (0, 7)
 
 
@@ -603,7 +605,7 @@ def test_search_incumbent_edge_cases():
     assert _search(0, []) == (0, [()], 1)
     assert _search(0, [], all_optima=True) == (0, [()], 1)
     # edgeless: the greedy set is already everything
-    assert _greedy_size(6, [0] * 6) == 6
+    assert _greedy_set(6, [0] * 6).bit_count() == 6
     res = alpha(empty_graph(6))
     assert (res.value, res.witness) == (6, tuple(range(6)))
     assert enumerate_optimal(build_conflict_graph(star(4), "eop")) == [(0, 1, 2, 3)]
@@ -617,7 +619,8 @@ def test_enumerate_optimal_with_greedy_incumbent(g6, greedy_below_optimum):
     nx = pytest.importorskip("networkx")
     cg = build_conflict_graph(parse_graph6(g6), "eop")
     ours = enumerate_optimal(cg)
-    assert (_greedy_size(cg.item_count, cg.conflicts) < len(ours[0])) == greedy_below_optimum
+    greedy = tuple(bits(_greedy_set(cg.item_count, cg.conflicts)))
+    assert (len(greedy) < len(ours[0])) == greedy_below_optimum
 
     conflict = nx.Graph()
     conflict.add_nodes_from(range(cg.item_count))
@@ -627,15 +630,18 @@ def test_enumerate_optimal_with_greedy_incumbent(g6, greedy_below_optimum):
     cliques = list(nx.find_cliques(nx.complement(conflict)))
     top = max(len(c) for c in cliques)
     assert sorted(ours) == sorted(tuple(sorted(c)) for c in cliques if len(c) == top)
-    # the single witness is the first optimum in depth-first order
-    assert max_independent_set(cg).witness == ours[0]
+    # the single witness is the greedy set when that is a maximum, and else
+    # the first larger set the search finds (here the first optimum in
+    # depth-first order)
+    assert max_independent_set(cg).witness == (ours[0] if greedy_below_optimum else greedy)
 
 
 def test_search_node_ceilings_on_natural_cubes():
     # node counts are exact; before the greedy incumbent rho_eo(Q_5) and
     # rho_2(Q_7) took 1,889 and 33,439 nodes, under max-degree branching
-    # 1,851 and 674.  These are the seed-0 instances of the benchmark's
-    # hypercube-frontier workload, 1,585 nodes in all
+    # 1,851 and 674, and with only the greedy set's size as incumbent
+    # 1,011 and 154 (rho_eo(Q_6) 358).  These are the seed-0 instances of
+    # the benchmark's hypercube-frontier workload, 1,540 nodes in all
     counts = [
         rho_eo(hypercube(5), max_items=1000).nodes,
         nu_i(hypercube(6), max_items=1000).nodes,
@@ -643,4 +649,4 @@ def test_search_node_ceilings_on_natural_cubes():
         distance_packing(hypercube(8), 3, max_items=1000).nodes,
         rho_eo(hypercube(6), max_items=1000).nodes,
     ]
-    assert counts == [1_011, 24, 154, 38, 358]
+    assert counts == [1_002, 10, 145, 18, 365]
