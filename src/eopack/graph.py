@@ -524,9 +524,7 @@ def _smaller_strings(n: int, adj: Sequence[int], best: int) -> Iterator[int]:
 # automorphisms by individualization and refinement
 # ---------------------------------------------------------------------------
 
-# leaves tried per target vertex before the target is skipped, and the cap
-# on individualizations times vertices (relabelled Q_8 uses about 11,500)
-_AUT_LEAF_LIMIT = 32
+# the cap on individualizations times vertices (relabelled Q_8 uses about 11,500)
 _AUT_WORK_LIMIT = 1 << 17
 
 
@@ -725,8 +723,7 @@ def automorphism_generators(g: Graph) -> list:
     from a node, the search tries the map that node's cells imply, which is
     the map of the first leaf it would reach.  Every generator
     found at a level fixes the path vertices above it, so without limits the
-    generators generate Aut(g).  Two limits only shrink the subgroup: a
-    target not found within ``_AUT_LEAF_LIMIT`` leaves is skipped, and the
+    generators generate Aut(g).  One limit only shrinks the subgroup: the
     search stops, keeping what it found, once its individualizations times
     the order exceed ``_AUT_WORK_LIMIT``.  Every returned map passes
     :func:`is_aut`, so its orbits are orbits of a real subgroup.
@@ -801,8 +798,7 @@ def _automorphisms(adj: Sequence[int], domain: Optional[int] = None) -> list:
         # once and those steps are charged, and the result is the same
         nonlocal steps
         stack = [levels[depth] + (w, depth)]
-        leaves = 0
-        while stack and steps > 0 and leaves < _AUT_LEAF_LIMIT:
+        while stack and steps > 0:
             cells, ns, v, d = stack.pop()
             cells, ns = cells[:], ns[:]
             steps -= 1
@@ -816,7 +812,6 @@ def _automorphisms(adj: Sequence[int], domain: Optional[int] = None) -> list:
                 steps -= ahead
                 return tuple(p)
             if nxt < 0:
-                leaves += 1
                 continue
             for u in reversed(list(bits(cells[nxt]))):
                 stack.append((cells, ns, u, d))

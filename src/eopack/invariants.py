@@ -14,26 +14,26 @@ too large for the cover meets B, so a group element carries it into the
 child of the first S_i it meets.  The children are explored in order, so
 witnesses are reproducible.
 
-Solves of at least ``SYMMETRY_MIN_ITEMS`` items (96) use symmetry.  The
-root's group lifts automorphisms of the base graph
-(:func:`eopack.graph.automorphism_generators`) to the items; below a root
-with a non-trivial orbit, each unpruned node with at least
-``SYMMETRY_MIN_ITEMS`` candidates and at least two items in B uses the
-automorphisms of its own conflict subgraph G[rem], until a node finds only
-singleton orbits, below which the group is trivial.  A node whose B holds
-one item has one child whatever its group, so it asks for none.  This is
-exact, since a subproblem's value depends only on G[rem], and it brings
-``rho_eo(Q_6)`` to 365 nodes, ``rho_eo(Q_7)`` to 106,922 and the code sizes
-A(8,3) = ``rho_2(Q_8)`` and A(9,4) = ``rho_3(Q_9)`` to about a second each.
-Smaller solves, trivial root groups and :func:`enumerate_optimal` (which
-needs every optimum, and reaches each once) use the trivial group.
+Every node, the root included, follows one group rule: an unpruned node
+with at least ``SYMMETRY_MIN_ITEMS`` candidates (96) and two or more items
+in B asks for its group; any other node has the trivial group (one item in
+B gives one child whatever the group).  The root's group lifts the
+automorphisms of the base graph (:func:`eopack.graph.automorphism_generators`)
+to the items, so it is found only if the root asks; a node below uses those
+of its own conflict subgraph G[rem].  A node that finds only singleton
+orbits leaves its subtree to the trivial group.  This is exact, since a
+subproblem's value depends only on G[rem], and it brings ``rho_eo(Q_6)`` to
+365 nodes, ``rho_eo(Q_7)`` to 106,922 and the code sizes A(8,3) =
+``rho_2(Q_8)`` and A(9,4) = ``rho_3(Q_9)`` to about a second each.
+:func:`enumerate_optimal` (which needs every optimum, and reaches each
+once) never uses a group.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .graph import (
     Graph,
@@ -46,8 +46,8 @@ from .graph import (
 
 DEFAULT_MAX_ITEMS = 250
 DEFAULT_MAX_VERTICES = 64
-# solves, and search nodes below a symmetric root, of at least this many
-# items branch over orbits
+# search nodes with at least this many candidates, and two or more items in
+# their branch set, branch over orbits
 SYMMETRY_MIN_ITEMS = 96
 
 
@@ -237,7 +237,7 @@ def _candidate_orbits(adj: Sequence[int], rem: int) -> list:
 
 
 def _search(
-    count: int, adj: Sequence[int], all_optima: bool = False, orbits: Sequence[int] = ()
+    count: int, adj: Sequence[int], all_optima: bool = False, root_orbits: Optional[Callable] = None
 ):
     """Deterministic exact MIS on an explicit stack; returns (size, witnesses, nodes).
 
@@ -266,16 +266,17 @@ def _search(
     Otherwise the single witness is the greedy set if no larger set
     exists, and else the first maximum set found.
 
-    ``orbits`` are the non-singleton orbits of a group of automorphisms of
-    ``adj``, as masks, and form the root's group.  Below such a root, every
-    unpruned node with at least ``SYMMETRY_MIN_ITEMS`` candidates and at
-    least two items in B uses the automorphisms of its own subproblem, the
-    conflict subgraph G[rem] (:func:`_candidate_orbits`; orbital branching,
-    Ostrowski et al., Math. Prog. 126, 2011).  That is exact too: what the
-    subtree can add depends only on G[rem].  A node whose orbits are all
-    singletons, and everything below it, uses the trivial group.  A node
-    whose B holds one item has one child whatever its group, so it asks for
-    none and leaves its children's groups to them.
+    Without ``root_orbits`` every node uses the trivial group.  With it,
+    every unpruned node with at least ``SYMMETRY_MIN_ITEMS`` candidates and
+    at least two items in B asks for its group (orbital branching, Ostrowski
+    et al., Math. Prog. 126, 2011).  The root asks ``root_orbits()``, which
+    returns the non-singleton orbits of a group of automorphisms of ``adj``,
+    as masks; a node below asks for those of its own subproblem, the
+    conflict subgraph G[rem] (:func:`_candidate_orbits`).  That is exact
+    too: what the subtree can add depends only on G[rem].  A node whose
+    orbits are all singletons, and everything below it, uses the trivial
+    group.  A node whose B holds one item has one child whatever its group,
+    so it asks for none and leaves its children's groups to them.
     """
     greedy = _greedy_set(count, adj)
     best = greedy.bit_count()
@@ -284,7 +285,7 @@ def _search(
     nodes = 0
     # frames are (remaining candidates, size, chosen vertices, symmetric?),
     # sets as bitmasks
-    stack = [((1 << count) - 1, 0, 0, bool(orbits) and not all_optima)]
+    stack = [((1 << count) - 1, 0, 0, root_orbits is not None and not all_optima)]
     while stack:
         rem, size, chosen, sym = stack.pop()
         nodes += 1
@@ -309,12 +310,10 @@ def _search(
             cliques += 1
         if not left:
             continue
-        # the node's group: ``orbits`` at the root (the first node popped)
         group = ()
-        if sym and nodes == 1:
-            group = orbits
-        elif sym and left & (left - 1) and rem.bit_count() >= SYMMETRY_MIN_ITEMS:
-            group = _candidate_orbits(adj, rem)
+        if sym and left & (left - 1) and rem.bit_count() >= SYMMETRY_MIN_ITEMS:
+            # the root is the first node popped
+            group = root_orbits() if nodes == 1 else _candidate_orbits(adj, rem)
             sym = bool(group)
         sets = [o for o in group if o & left]
         for o in sets:
@@ -370,10 +369,8 @@ def _item_orbits(g: Graph, edge_items: bool) -> list:
 def _solve(
     name: str, count: int, adj: Sequence[int], g: Graph, edge_items: bool
 ) -> InvariantResult:
-    # large instances branch over orbits, at the root from Aut(g); a trivial
-    # root group leaves the whole search plain
-    orbits = _item_orbits(g, edge_items) if count >= SYMMETRY_MIN_ITEMS else []
-    size, (witness,), nodes = _search(count, adj, orbits=orbits)
+    # the root's group is lifted from Aut(g), found only if the root asks
+    size, (witness,), nodes = _search(count, adj, root_orbits=lambda: _item_orbits(g, edge_items))
     return InvariantResult(name, size, witness, nodes)
 
 

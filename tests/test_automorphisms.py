@@ -24,12 +24,14 @@ from eopack.graph import (
     hypercube,
     is_aut,
     orbit_masks,
+    parse_graph6,
     path,
     random_graph,
 )
 from eopack import invariants
 from eopack.invariants import (
     SYMMETRY_MIN_ITEMS,
+    _greedy_set,
     _item_orbits,
     _search,
     build_conflict_graph,
@@ -328,11 +330,15 @@ def test_twin_cells_need_every_cell_twin():
 def test_work_limit_only_shrinks_the_subgroup(monkeypatch, adj):
     # from no work up to the whole search: the first path runs out (no
     # generators), then the search stops midway (a partial subgroup); every
-    # partial answer is a subgroup of the full one that the search may use
+    # partial answer is a subgroup of the full one that the search may use.
+    # Only the root may ask for a group, and it asks if it branches over two
+    # or more items: the P3xC4 root does, the Q5 root is pruned at once
     n = len(adj)
     g = Graph(n, adj)
     full = orbit_masks(n, _automorphisms(adj))
     want = _search(n, adj)[0]
+    monkeypatch.setattr(invariants, "SYMMETRY_MIN_ITEMS", n)
+    root_branches = root_branch_set(n, adj).bit_count() >= 2
     exits = set()
     for steps in range(40):
         monkeypatch.setattr(graph, "_AUT_WORK_LIMIT", n * steps)
@@ -340,7 +346,10 @@ def test_work_limit_only_shrinks_the_subgroup(monkeypatch, adj):
         assert all(is_aut(g, p) for p in gens)
         orbits = orbit_masks(n, gens)
         assert all(any(o & f == o for f in full) for o in orbits)
-        assert _search(n, adj, orbits=[o for o in orbits if o & (o - 1)])[0] == want
+        asked = []
+        root_orbits = lambda: asked.append(steps) or [o for o in orbits if o & (o - 1)]
+        assert _search(n, adj, root_orbits=root_orbits)[0] == want
+        assert asked == [steps] * root_branches
         exits.add("first path" if not gens else "midway" if len(orbits) > len(full) else "done")
     assert exits == {"first path", "midway", "done"}
 
@@ -361,11 +370,39 @@ def instance(g, name):
     return g.n, rows, False, "k_packing", k
 
 
-def check_symmetric_root(g, name, want=None):
+def root_branch_set(count, adj):
+    """The root's branch set B in ``_search``: what its cover by greedy-size cliques leaves."""
+    left = (1 << count) - 1
+    for _ in range(_greedy_set(count, adj).bit_count()):
+        if not left:
+            break
+        low = left & -left
+        left ^= low
+        cand = adj[low.bit_length() - 1] & left
+        while cand:
+            lu = cand & -cand
+            left ^= lu
+            cand = (cand ^ lu) & adj[lu.bit_length() - 1]
+    return left
+
+
+def check_symmetric_root(monkeypatch, g, name, want=None):
+    """Check one symmetric solve against the plain search.
+
+    An instance of fewer than ``SYMMETRY_MIN_ITEMS`` items lowers the
+    threshold to its size, so that its root, and no node below it, may ask
+    for a group.  The root asks exactly when its branch set holds two or
+    more items.
+    """
     count, adj, edge_items, kind, k = instance(g, name)
     orbits = _item_orbits(g, edge_items)
     assert orbits, "expected a non-trivial item orbit"
-    size, (witness,), _ = _search(count, adj, orbits=orbits)
+    monkeypatch.setattr(
+        invariants, "SYMMETRY_MIN_ITEMS", min(invariants.SYMMETRY_MIN_ITEMS, count)
+    )
+    asked = []
+    size, (witness,), _ = _search(count, adj, root_orbits=lambda: asked.append(1) or orbits)
+    assert len(asked) == (root_branch_set(count, adj).bit_count() >= 2)
     if want is None:
         want = _search(count, adj)[0]
     assert size == len(witness) == want
@@ -374,11 +411,11 @@ def check_symmetric_root(g, name, want=None):
 
 @pytest.mark.parametrize("name", ["nu_i", "rho_eo", "rho_2", "rho_3"])
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
-def test_symmetric_root_matches_plain_search_on_relabelled_cubes(d, name):
+def test_symmetric_root_matches_plain_search_on_relabelled_cubes(monkeypatch, d, name):
     # the plain rho_eo(Q_6) search takes ~500,000 nodes; its value 24 is
     # compared instead
     want = 24 if (d, name) == (6, "rho_eo") else None
-    check_symmetric_root(relabel(hypercube(d), 10 * d), name, want)
+    check_symmetric_root(monkeypatch, relabel(hypercube(d), 10 * d), name, want)
 
 
 VERTEX_TRANSITIVE_PRODUCTS = [
@@ -397,8 +434,8 @@ VERTEX_TRANSITIVE_PRODUCTS = [
 
 @pytest.mark.parametrize("name", ["nu_i", "rho_eo", "rho_2", "rho_3"])
 @pytest.mark.parametrize("kind, g, h", VERTEX_TRANSITIVE_PRODUCTS)
-def test_symmetric_root_matches_plain_search_on_products(kind, g, h, name):
-    check_symmetric_root(relabel(product(kind, g, h).graph, 1), name)
+def test_symmetric_root_matches_plain_search_on_products(monkeypatch, kind, g, h, name):
+    check_symmetric_root(monkeypatch, relabel(product(kind, g, h).graph, 1), name)
 
 
 def test_symmetric_root_node_ceiling_on_q6():
@@ -448,6 +485,17 @@ def test_automorphisms_are_found_once_per_graph(monkeypatch):
     assert node_sizes and min(node_sizes) >= SYMMETRY_MIN_ITEMS
 
 
+def test_a_root_pruned_at_once_finds_no_group(monkeypatch):
+    # K_16 has 120 edges, one induced-matching clique: the greedy set (one
+    # edge) is a maximum, the root's one-clique cover prunes it, and Aut(K_16)
+    # is never asked for
+    calls = []
+    monkeypatch.setattr(invariants, "_item_orbits", lambda *args: calls.append(args))
+    res = nu_i(complete(16), max_items=120)
+    assert (res.value, res.nodes) == (1, 1)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # orbital branching below the root against the plain search
 # ---------------------------------------------------------------------------
@@ -461,15 +509,15 @@ def low_threshold(monkeypatch):
 
 @pytest.mark.parametrize("name", ["nu_i", "rho_eo", "rho_2", "rho_3"])
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
-def test_node_orbits_match_plain_search_on_relabelled_cubes(low_threshold, d, name):
+def test_node_orbits_match_plain_search_on_relabelled_cubes(monkeypatch, low_threshold, d, name):
     want = 24 if (d, name) == (6, "rho_eo") else None
-    check_symmetric_root(relabel(hypercube(d), 10 * d), name, want)
+    check_symmetric_root(monkeypatch, relabel(hypercube(d), 10 * d), name, want)
 
 
 @pytest.mark.parametrize("name", ["nu_i", "rho_eo", "rho_2", "rho_3"])
 @pytest.mark.parametrize("kind, g, h", VERTEX_TRANSITIVE_PRODUCTS)
-def test_node_orbits_match_plain_search_on_products(low_threshold, kind, g, h, name):
-    check_symmetric_root(relabel(product(kind, g, h).graph, 1), name)
+def test_node_orbits_match_plain_search_on_products(monkeypatch, low_threshold, kind, g, h, name):
+    check_symmetric_root(monkeypatch, relabel(product(kind, g, h).graph, 1), name)
 
 
 @pytest.mark.parametrize("d, name", [(5, "rho_eo"), (5, "rho_2"), (6, "nu_i"), (6, "rho_3")])
@@ -496,7 +544,7 @@ def test_node_orbits_are_orbits_of_the_induced_subgraph(monkeypatch, d, name):
 
     candidate_orbits = invariants._candidate_orbits
     monkeypatch.setattr(invariants, "_candidate_orbits", checked)
-    check_symmetric_root(relabel(hypercube(d), 10 * d), name)
+    check_symmetric_root(monkeypatch, relabel(hypercube(d), 10 * d), name)
     assert seen
 
 
@@ -531,16 +579,20 @@ def test_node_orbits_with_fixed_points_match_plain_search(monkeypatch, low_thres
     candidate_orbits = invariants._candidate_orbits
     monkeypatch.setattr(invariants, "_candidate_orbits", recording)
     for seed in range(120):
-        check_symmetric_root(mirrored(seed), name)
+        check_symmetric_root(monkeypatch, mirrored(seed), name)
     assert any(fixed)
 
 
-def test_orbit_frames_keep_the_items_outside_every_orbit():
-    # K_{2,3} with the subgroup that swaps the 2-side only: every maximum
-    # set is the 3-side, which lies outside the one orbit given
-    g = complete_bipartite(2, 3)
-    size, (witness,), _ = _search(g.n, g.adj, orbits=[0b11])
-    assert (size, witness) == (3, (2, 3, 4))
+def test_orbit_frames_keep_the_items_outside_every_orbit(monkeypatch):
+    # the adjacent twins 5 and 6 swap, and the root is given that one orbit;
+    # the min-degree greedy set is {2, 4}, and both maximum sets, {0, 1, 2}
+    # and {0, 1, 3}, lie outside the orbit
+    g = parse_graph6("F@rvg")
+    monkeypatch.setattr(invariants, "SYMMETRY_MIN_ITEMS", g.n)
+    asked = []
+    size, (witness,), _ = _search(g.n, g.adj, root_orbits=lambda: asked.append(1) or [0b1100000])
+    assert asked == [1]
+    assert (size, witness) == (3, (0, 1, 2))
 
 
 @pytest.mark.parametrize("solve", [nu_i, rho_eo])
@@ -567,8 +619,10 @@ def test_all_optima_use_no_symmetry(low_threshold, name):
     assert orbits
     c = build_conflict_graph(g, kind)
     ours = enumerate_optimal(c)
-    assert _search(count, adj, all_optima=True, orbits=orbits)[1] == ours
-    assert low_threshold == []
+    asked = []
+    root_orbits = lambda: asked.append(1) or orbits
+    assert _search(count, adj, all_optima=True, root_orbits=root_orbits)[1] == ours
+    assert asked == low_threshold == []
 
     conflict = nx.Graph()
     conflict.add_nodes_from(range(count))

@@ -426,6 +426,9 @@ def test_witness_rooted_im_needs_root(capsys):
         (("--name", "hypercube-eop"), "hypercube-eop needs --k"),
         # the code's range check runs before its host Q_(2^k - 1) is built
         (("--name", "hamming-code", "--k", "0"), "hamming code supports 1 <= k <= 4"),
+        # the library builds the k = 4 code, but the command would print Q_15
+        (("--name", "hamming-code", "--k", "4"),
+         "witness hamming-code supports 1 <= k <= 3 (k = 4 would print Q_15)"),
     ],
 )
 def test_witness_usage_errors_exit_2(capsys, argv, message):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import sys
@@ -21,6 +22,7 @@ from eopack.graph import (
 )
 from eopack import invariants
 from eopack.constructions import hamming_perfect_code
+from eopack.products import PRODUCT_KINDS, product
 from eopack.invariants import (
     CapacityError,
     InvariantResult,
@@ -650,3 +652,21 @@ def test_search_node_ceilings_on_natural_cubes():
         rho_eo(hypercube(6), max_items=1000).nodes,
     ]
     assert counts == [1_002, 10, 145, 18, 365]
+
+
+def test_product_solves_are_pinned_by_digest():
+    # (value, witness, nodes) of nu_i and rho_eo on the four products of
+    # every ordered pair of unlabeled graphs on 1 to 4 vertices: 2,592
+    # solves, some of them past SYMMETRY_MIN_ITEMS (the strong square of
+    # K_4 is K_16, 120 items).  Finding the root's group only when the root
+    # branches left this digest unchanged
+    factors = [g for n in range(1, 5) for g in enumerate_graphs(n, dedup=True)]
+    digest = hashlib.sha256()
+    for kind in PRODUCT_KINDS:
+        for g in factors:
+            for h in factors:
+                p = product(kind, g, h).graph
+                for solve in (nu_i, rho_eo):
+                    r = solve(p, max_items=300)
+                    digest.update(repr((r.value, r.witness, r.nodes)).encode() + b"\n")
+    assert digest.hexdigest() == "265b690c972aefcd0922310a0f47f9a0c2e0c3458659929697b9ea61eab9930e"
