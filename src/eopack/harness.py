@@ -156,12 +156,11 @@ def _graphs_upto(nmax: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _trees_upto(nmax: int) -> tuple:
-    out = [path(1)]
+def _trees_upto(nmax: int) -> list:
+    out = [path(1)] if nmax >= 1 else []
     for n in range(2, nmax + 1):
         out.extend(enumerate_trees(n, dedup=True))
-    return tuple(out)
+    return out
 
 
 def _pairs(run: CheckRun, nmax: int = 4, ordered: bool = True) -> Iterator:

@@ -352,13 +352,13 @@ def _gate(count: int, unit: str, max_items: Optional[int] = None) -> int:
 def _item_orbits(g: Graph, edge_items: bool) -> list:
     """Non-singleton item orbits under automorphisms of g, as masks by least item.
 
-    Each generator of :func:`automorphism_generators` (cached per graph) is
-    lifted to the items: a vertex item maps as its vertex, an edge item uv
-    to the edge p(u)p(v).  Every conflict graph here is defined by the
-    structure of g alone, so a lifted automorphism of g is an automorphism
-    of the conflict graph.
+    Each generator of :func:`automorphism_generators`, found afresh for each
+    root that asks, is lifted to the items: a vertex item maps as its
+    vertex, an edge item uv to the edge p(u)p(v).  Every conflict graph here
+    is defined by the structure of g alone, so a lifted automorphism of g is
+    an automorphism of the conflict graph.
     """
-    gens = _cached("aut", g, lambda: automorphism_generators(g))
+    gens = automorphism_generators(g)
     if edge_items:
         index = g.edge_index
         gens = [[index[(min(p[u], p[v]), max(p[u], p[v]))] for u, v in g.edges] for p in gens]
@@ -387,17 +387,18 @@ def max_independent_set(
     return _solve("mis", count, adj, g, edge_items)
 
 
-# value cache keyed by (invariant or "aut", order, edge list); entries are
-# never mutated and solves are deterministic, so concurrent writers can only
-# insert identical entries
+# value cache of InvariantResults keyed by (invariant, order, edge list);
+# entries are never mutated and solves are deterministic, so concurrent
+# writers can only insert identical entries
 _CACHE: dict = {}
 
 
-def _cached(name: str, g: Graph, fn, max_items: Optional[int] = None):
-    """``fn()``, cached under ``(name, g)``; a call passing ``max_items`` bypasses the cache.
+def _cached(name: str, g: Graph, fn, max_items: Optional[int]):
+    """``fn()``, cached under ``(name, g)`` unless ``max_items`` is given.
 
-    Callers pass :func:`_gate` first, so a value solved under a higher cap
-    is never returned past a lower one.
+    A call with ``max_items`` neither reads nor writes the cache.  Callers
+    pass :func:`_gate` first, so a value solved under a higher cap is never
+    returned past a lower one.
     """
     key = (name, g.n, g.edges)
     if max_items is None and key in _CACHE:

@@ -318,27 +318,32 @@ def test_twin_cells_need_every_cell_twin():
 
 
 @pytest.mark.parametrize(
-    "adj",
+    "adj, root_branches",
     [
-        relabel(hypercube(5), 3).adj,
-        build_conflict_graph(
-            relabel(product("cartesian", path(3), cycle(4)).graph, 7), "eop"
-        ).conflicts,
+        (relabel(hypercube(5), 3).adj, False),
+        (build_conflict_graph(relabel(hypercube(5), 3), "eop").conflicts, True),
+        (
+            build_conflict_graph(
+                relabel(product("cartesian", path(3), cycle(4)).graph, 7), "eop"
+            ).conflicts,
+            True,
+        ),
     ],
-    ids=["Q5", "eop-conflicts-P3xC4"],
+    ids=["Q5", "eop-conflicts-Q5", "eop-conflicts-P3xC4"],
 )
-def test_work_limit_only_shrinks_the_subgroup(monkeypatch, adj):
+def test_work_limit_only_shrinks_the_subgroup(monkeypatch, adj, root_branches):
     # from no work up to the whole search: the first path runs out (no
     # generators), then the search stops midway (a partial subgroup); every
     # partial answer is a subgroup of the full one that the search may use.
     # Only the root may ask for a group, and it asks if it branches over two
-    # or more items: the P3xC4 root does, the Q5 root is pruned at once
+    # or more items: the roots of both conflict graphs do, and their searches
+    # read every partial group; the Q5 root is pruned at once
     n = len(adj)
     g = Graph(n, adj)
     full = orbit_masks(n, _automorphisms(adj))
     want = _search(n, adj)[0]
     monkeypatch.setattr(invariants, "SYMMETRY_MIN_ITEMS", n)
-    root_branches = root_branch_set(n, adj).bit_count() >= 2
+    assert (root_branch_set(n, adj).bit_count() >= 2) == root_branches
     exits = set()
     for steps in range(40):
         monkeypatch.setattr(graph, "_AUT_WORK_LIMIT", n * steps)
@@ -409,8 +414,12 @@ def check_symmetric_root(monkeypatch, g, name, want=None):
     assert verify_witness(g, witness, kind, k)
 
 
-@pytest.mark.parametrize("name", ["nu_i", "rho_eo", "rho_2", "rho_3"])
-@pytest.mark.parametrize("d", [3, 4, 5, 6])
+NAMES = ["nu_i", "rho_eo", "rho_2", "rho_3"]
+CUBE_DIMENSIONS = [3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("d", CUBE_DIMENSIONS)
 def test_symmetric_root_matches_plain_search_on_relabelled_cubes(monkeypatch, d, name):
     # the plain rho_eo(Q_6) search takes ~500,000 nodes; its value 24 is
     # compared instead
@@ -432,10 +441,23 @@ VERTEX_TRANSITIVE_PRODUCTS = [
 ]
 
 
-@pytest.mark.parametrize("name", ["nu_i", "rho_eo", "rho_2", "rho_3"])
+@pytest.mark.parametrize("name", NAMES)
 @pytest.mark.parametrize("kind, g, h", VERTEX_TRANSITIVE_PRODUCTS)
 def test_symmetric_root_matches_plain_search_on_products(monkeypatch, kind, g, h, name):
     check_symmetric_root(monkeypatch, relabel(product(kind, g, h).graph, 1), name)
+
+
+def test_symmetric_root_tests_reach_root_groups():
+    # of the 56 instances of the two tests above, many roots are pruned at
+    # once (the greedy set is a maximum and the cover proves it); a change
+    # that prunes more roots must not quietly drop the ones that ask
+    graphs = [relabel(hypercube(d), 10 * d) for d in CUBE_DIMENSIONS]
+    graphs += [relabel(product(kind, g, h).graph, 1) for kind, g, h in VERTEX_TRANSITIVE_PRODUCTS]
+    asking = [
+        root_branch_set(*instance(g, name)[:2]).bit_count() >= 2 for g in graphs for name in NAMES
+    ]
+    assert len(asking) == 56
+    assert sum(asking) >= 24
 
 
 def test_symmetric_root_node_ceiling_on_q6():
@@ -466,9 +488,10 @@ def counting_node_automorphisms(monkeypatch):
     return sizes
 
 
-def test_automorphisms_are_found_once_per_graph(monkeypatch):
-    # the base graph is analysed once, through the value cache, however many
-    # subproblems below the symmetric roots ask for their own groups
+def test_automorphisms_are_found_once_per_asking_root(monkeypatch):
+    # the value cache holds invariant values only, so each root that asks
+    # finds Aut(Q_6) itself, once, however many subproblems below it ask for
+    # their own groups
     calls = []
 
     def counting(g):
@@ -481,7 +504,7 @@ def test_automorphisms_are_found_once_per_graph(monkeypatch):
     q6 = hypercube(6)
     assert nu_i(q6).value == 16
     assert rho_eo(q6).value == 24
-    assert calls == [q6]
+    assert calls == [q6, q6]
     assert node_sizes and min(node_sizes) >= SYMMETRY_MIN_ITEMS
 
 

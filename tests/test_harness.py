@@ -151,6 +151,13 @@ def test_max_n_shrinks_corpus():
     assert full.instances_run == 9  # three unlabeled graphs on <= 2 vertices
 
 
+@pytest.mark.parametrize("check_id", ["trees-iff-family-f", "paths-formulas"])
+def test_max_n_zero_leaves_a_corpus_empty(check_id):
+    # no tree or path has at most 0 vertices, so nothing runs and nothing passes
+    r = run_check(check_id, max_n=0)
+    assert (r.status, r.instances_run) == ("skipped", 0)
+
+
 def test_suite_filter():
     reports, summary = run_suite("hypercube")
     ids = {r.id for r in reports}

@@ -295,6 +295,24 @@ def test_max_items_bypasses_the_value_cache(monkeypatch, solve):
     assert solve(g) == capped and len(solves) == 3
 
 
+def test_capped_calls_leave_the_value_cache_empty(monkeypatch):
+    # every cached entry point, capped; the root of rho_eo(Q_6) asks for
+    # Aut(Q_6), which serves that solve and is kept nowhere
+    asked = []
+    inner = invariants.automorphism_generators
+    monkeypatch.setattr(invariants, "automorphism_generators", lambda g: asked.append(g) or inner(g))
+    invariants.clear_cache()
+    g = cycle(7)
+    for solve in (nu_i, rho_eo, alpha, beta, rho_o, gamma):
+        solve(g, max_items=7)
+    for k in (2, 3):
+        distance_packing(g, k, max_items=7)
+    q6 = hypercube(6)
+    assert rho_eo(q6, max_items=192).value == 24
+    assert asked == [q6]
+    assert invariants._CACHE == {}
+
+
 # ---------------------------------------------------------------------------
 # edge invariants against brute force over all edge subsets
 # ---------------------------------------------------------------------------
