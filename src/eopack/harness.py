@@ -15,6 +15,17 @@ generator that yields one ``(inputs, expected, actual)`` record per instance.
 instances and builds failure entries.  It checks the deadline before every
 ``next()``, so no runner starts an instance once its budget is spent, and the
 partial run is reported as ``skipped``: a check never passes on a partial run.
+
+The product checks build their products through one memo (:func:`_product`,
+:func:`_rooted`), which keeps each distinct product for as long as the
+outermost ``run_check``, pool task or in-process ``run_suite`` that uses it;
+only ``prism-3packing`` and ``corona-formula``, whose products no other
+instance builds, call the constructors directly.
+Instances that are isomorphic by construction build one labelled graph: box
+and strong products take their factors in one order, and a rooted product is
+rooted at the least vertex of its root's orbit.  So the duplicate is a memo
+hit and a value-cache hit, while the records stay one per ordered pair and
+per root.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ import os
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import islice
@@ -38,7 +50,9 @@ from .constructions import (
 from .graph import (
     Graph,
     SplitMix64,
+    automorphism_generators,
     bipartition,
+    bits,
     complete,
     cycle,
     enumerate_graphs,
@@ -46,6 +60,7 @@ from .graph import (
     figure1,
     figure1_xy_edges,
     hypercube,
+    orbit_masks,
     path,
     spider,
     star,
@@ -66,7 +81,7 @@ from .invariants import (
     rho_o,
     verify_witness,
 )
-from .products import cartesian, corona, lex, product, rooted_product
+from .products import cartesian, corona, product, rooted_product
 from .trees import generate_family_f, recognize_family_f, verify_spider_partition
 
 
@@ -124,8 +139,9 @@ def _jsonable(x):
 # check id -> Check, in declaration order
 REGISTRY: dict = {}
 # checks that solve the same product graphs; run_suite hands the selected members of each
-# chain to one pool task, run in registry order, so later members hit that worker's value
-# cache instead of solving the products again in another worker
+# chain to one pool task, run in registry order, so later members take that task's products
+# from the product memo and their values from the worker's value cache, instead of building
+# and solving them again in another worker
 _CHAINS = (
     ("lex-nu-equality", "nu-box-analogues"),  # nu_I of G lex H, G strong H and G box H
     ("lex-eop-bounds", "lex-min-box", "box-eop-bounds"),  # rho_e^o of the same products
@@ -197,6 +213,67 @@ def _upper_sharp_g(ell: int) -> Graph:
     edges = [(0, i) for i in range(1, ell + 1)]
     edges += [(ell + 1, ell + 2), (1, ell + 1)]
     return Graph.from_edges(ell + 3, edges)
+
+
+# ---------------------------------------------------------------------------
+# the product memo
+# ---------------------------------------------------------------------------
+
+# (kind, g, h) -> the product graph, ("rooted", g, h, root) -> the rooted product and
+# ("roots", h) -> h's orbit minima; filled by the product checks and emptied when the
+# outermost run_check, pool task or in-process run_suite that uses it returns
+_PRODUCTS: dict = {}
+_memo_users = 0
+
+
+@contextmanager
+def _product_memo():
+    """Keep :data:`_PRODUCTS` for the body; the outermost user empties it on the way out."""
+    global _memo_users
+    _memo_users += 1
+    try:
+        yield
+    finally:
+        _memo_users -= 1
+        if not _memo_users:
+            _PRODUCTS.clear()
+
+
+def _memo(key, build):
+    if key not in _PRODUCTS:
+        _PRODUCTS[key] = build()
+    return _PRODUCTS[key]
+
+
+def _product(kind: str, g: Graph, h: Graph) -> Graph:
+    """The ``kind`` product of g and h, built once per memo.
+
+    G box H and G strong H are isomorphic to H box G and H strong G, so those
+    kinds take their factors in ``(n, edges)`` order: both orders of a pair
+    build one labelled graph, and the second is a value-cache hit.
+    """
+    if kind in ("cartesian", "strong") and (h.n, h.edges) < (g.n, g.edges):
+        g, h = h, g
+    return _memo((kind, g, h), lambda: product(kind, g, h).graph)
+
+
+def _orbit_minima(h: Graph) -> tuple:
+    """Each vertex's least orbit-mate under the group ``automorphism_generators(h)`` generates."""
+    least = [0] * h.n
+    for orbit in orbit_masks(h.n, automorphism_generators(h)):
+        for v in bits(orbit):
+            least[v] = (orbit & -orbit).bit_length() - 1
+    return tuple(least)
+
+
+def _rooted(g: Graph, h: Graph, root: int) -> Graph:
+    """The rooted product of g and h at ``root``, built once per memo at root's orbit minimum.
+
+    An automorphism of h taking one root to the other, applied in every fiber,
+    is an isomorphism of the two rooted products, so a subgroup's orbits suffice.
+    """
+    v = _memo(("roots", h), lambda: _orbit_minima(h))[root]
+    return _memo(("rooted", g, h, v), lambda: rooted_product(g, h, v).graph)
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +371,8 @@ def _lex_nu_equality(run: CheckRun) -> Iterator:
     # the product formula needs an edge in H: an edgeless H only blows up
     # every vertex of G, which leaves nu_I(G) unchanged
     for g, h in _pairs(run):
-        p = lex(g, h)
         want = alpha(g).value * nu_i(h).value if h.m else nu_i(g).value
-        yield [g, h], want, nu_i(p.graph).value
+        yield [g, h], want, nu_i(_product("lex", g, h)).value
 
 
 @_check(
@@ -308,7 +384,7 @@ def _lex_nu_equality(run: CheckRun) -> Iterator:
 )
 def _lex_eop_bounds(run: CheckRun) -> Iterator:
     for g, h in _pairs(run):
-        val = rho_eo(lex(g, h).graph).value
+        val = rho_eo(_product("lex", g, h)).value
         lo = rho_eo(g).value * alpha(h).value
         hi = lo + rho_eo(h).value * (alpha(g).value - rho_eo(g).value)
         yield [g, h], "holds", _within(lo, val, hi)
@@ -326,7 +402,7 @@ def _lex_eop_sharpness(run: CheckRun) -> Iterator:
     for ell in (2, 3):
         g_up = _upper_sharp_g(ell)
         for h in hs:
-            val = rho_eo(lex(g_up, h).graph).value
+            val = rho_eo(_product("lex", g_up, h)).value
             hi = rho_eo(g_up).value * alpha(h).value + rho_eo(h).value * (
                 alpha(g_up).value - rho_eo(g_up).value
             )
@@ -334,7 +410,7 @@ def _lex_eop_sharpness(run: CheckRun) -> Iterator:
         for t in (0, 1):
             g_low = _wounded_spider(ell, t)
             for h in hs:
-                val = rho_eo(lex(g_low, h).graph).value
+                val = rho_eo(_product("lex", g_low, h)).value
                 yield (
                     [f"lower ell={ell} t={t}", g_low, h],
                     rho_eo(g_low).value * alpha(h).value,
@@ -350,7 +426,7 @@ def _lex_eop_sharpness(run: CheckRun) -> Iterator:
 )
 def _lex_nu_remark(run: CheckRun) -> Iterator:
     for n in (1, 2, 3):
-        g = lex(path(2), path(3 * n + 1)).graph
+        g = _product("lex", path(2), path(3 * n + 1))
         val = nu_i(g).value
         trivial_bound = nu_i(path(2)).value * alpha(path(3 * n + 1)).value
         yield [f"n={n}"], (n, True), (val, val < trivial_bound)
@@ -365,10 +441,10 @@ def _lex_nu_remark(run: CheckRun) -> Iterator:
 )
 def _direct_nu_bound(run: CheckRun) -> Iterator:
     for g, h in _pairs(run, ordered=False):
-        val = nu_i(product("direct", g, h).graph).value
+        val = nu_i(_product("direct", g, h)).value
         yield [g, h], "holds", _within(2 * nu_i(g).value * nu_i(h).value, val)
     for m, n in ((1, 3), (1, 4), (2, 3)):
-        p = product("direct", path(3 * m), complete(n)).graph
+        p = _product("direct", path(3 * m), complete(n))
         yield [f"P_{3*m} x K_{n}"], 2 * m, nu_i(p).value
 
 
@@ -382,12 +458,12 @@ def _direct_nu_bound(run: CheckRun) -> Iterator:
 )
 def _direct_eop_bound(run: CheckRun) -> Iterator:
     for g, h in _pairs(run, ordered=False):
-        val = rho_eo(product("direct", g, h).graph).value
+        val = rho_eo(_product("direct", g, h)).value
         b1 = rho_eo(g).value * h.min_degree() * rho_o(h).value
         b2 = rho_eo(h).value * g.min_degree() * rho_o(g).value
         yield [g, h], "holds", _within(max(b1, b2), val)
     for m, n in ((3, 3), (4, 3), (4, 4), (5, 3)):
-        p = product("direct", complete(m), complete(n)).graph
+        p = _product("direct", complete(m), complete(n))
         yield [f"K_{m} x K_{n}"], m - 1, rho_eo(p).value
 
 
@@ -401,7 +477,7 @@ def _direct_eop_bound(run: CheckRun) -> Iterator:
 def _direct_eop_counterexample(run: CheckRun) -> Iterator:
     for n in (1, 2):
         lengths = 12 * n - 5
-        p = product("direct", path(3), path(lengths)).graph
+        p = _product("direct", path(3), path(lengths))
         val = rho_eo(p).value
         naive = 2 * rho_eo(path(3)).value * rho_eo(path(lengths)).value
         yield [f"n={n}"], (24 * n - 10, True), (val, val < naive)
@@ -414,7 +490,7 @@ def _direct_eop_counterexample(run: CheckRun) -> Iterator:
     60,
 )
 def _direct_nu_remark(run: CheckRun) -> Iterator:
-    p = product("direct", complete(4), complete(4)).graph
+    p = _product("direct", complete(4), complete(4))
     yield ["K_4 x K_4"], 2, nu_i(p).value
 
 
@@ -442,9 +518,9 @@ def _spanning_incomparability(run: CheckRun) -> Iterator:
 )
 def _lex_min_box(run: CheckRun) -> Iterator:
     for g, h in _pairs(run):
-        v_lex = rho_eo(lex(g, h).graph).value
-        v_str = rho_eo(product("strong", g, h).graph).value
-        v_box = rho_eo(product("cartesian", g, h).graph).value
+        v_lex = rho_eo(_product("lex", g, h)).value
+        v_str = rho_eo(_product("strong", g, h)).value
+        v_box = rho_eo(_product("cartesian", g, h)).value
         yield [g, h], "holds", _within(0, v_lex, min(v_str, v_box))
 
 
@@ -462,12 +538,12 @@ def _box_eop_bounds(run: CheckRun) -> Iterator:
             rho_eo(g).value * alpha(h).value, alpha(g).value * rho_eo(h).value
         )
         for kind in ("cartesian", "strong"):
-            val = rho_eo(product(kind, g, h).graph).value
+            val = rho_eo(_product(kind, g, h)).value
             yield [kind, g, h], "holds", _within(bound, val)
-    p = product("cartesian", star(2), star(3)).graph
+    p = _product("cartesian", star(2), star(3))
     yield ["K_{1,2} box K_{1,3}"], 6, rho_eo(p).value
     for g in _graphs_upto(run.limit(4)):
-        p = product("strong", g, complete(3)).graph
+        p = _product("strong", g, complete(3))
         yield ["strong with K_3", g], alpha(g).value, rho_eo(p).value
 
 
@@ -480,9 +556,9 @@ def _box_eop_bounds(run: CheckRun) -> Iterator:
 )
 def _nu_box_analogues(run: CheckRun) -> Iterator:
     for g, h in _pairs(run):
-        v_lex = nu_i(lex(g, h).graph).value
-        v_str = nu_i(product("strong", g, h).graph).value
-        v_box = nu_i(product("cartesian", g, h).graph).value
+        v_lex = nu_i(_product("lex", g, h)).value
+        v_str = nu_i(_product("strong", g, h)).value
+        v_box = nu_i(_product("cartesian", g, h)).value
         bound = max(nu_i(g).value * alpha(h).value, alpha(g).value * nu_i(h).value)
         ok = v_lex <= min(v_str, v_box) and v_box >= bound and v_str >= bound
         yield (
@@ -500,10 +576,10 @@ def _nu_box_analogues(run: CheckRun) -> Iterator:
 )
 def _lex_strong_kn(run: CheckRun) -> Iterator:
     for g in _graphs_upto(run.limit(4)):
-        p = lex(g, complete(3)).graph
+        p = _product("lex", g, complete(3))
         yield [g], alpha(g).value, rho_eo(p).value
     for g in _graphs_upto(run.limit(3)):
-        p = lex(g, complete(4)).graph
+        p = _product("lex", g, complete(4))
         yield [g], alpha(g).value, rho_eo(p).value
 
 
@@ -712,7 +788,7 @@ def _q9_bound(run: CheckRun) -> Iterator:
 def _rooted_three_values(run: CheckRun) -> Iterator:
     for g, h in _pairs(run):
         for root in range(h.n):
-            val = nu_i(rooted_product(g, h, root).graph).value
+            val = nu_i(_rooted(g, h, root)).value
             n, nh = g.n, nu_i(h).value
             allowed = {n * nh - beta(g).value, n * nh, n * nh + nu_i(g).value}
             yield (
@@ -727,9 +803,9 @@ def _rooted_three_values(run: CheckRun) -> Iterator:
         h_minus = subdivided_star([2, 2] + [1] * (r - 2))  # root: far leaf of a long leg
         for g in _graphs_upto(run.limit(4)):
             n = g.n
-            v_plus = nu_i(rooted_product(g, h_plus, 2).graph).value
-            v_mid = nu_i(rooted_product(g, h_mid, 1).graph).value
-            v_minus = nu_i(rooted_product(g, h_minus, 2).graph).value
+            v_plus = nu_i(_rooted(g, h_plus, 2)).value
+            v_mid = nu_i(_rooted(g, h_mid, 1)).value
+            v_minus = nu_i(_rooted(g, h_minus, 2)).value
             yield (
                 [f"r={r}", g],
                 (n + nu_i(g).value, n, 2 * n - beta(g).value),
@@ -763,19 +839,19 @@ def _corona_formula(run: CheckRun) -> Iterator:
 def _rooted_eop_equ2(run: CheckRun) -> Iterator:
     for g, h in _pairs(run):
         for root in range(h.n):
-            val = rho_eo(rooted_product(g, h, root).graph).value
+            val = rho_eo(_rooted(g, h, root)).value
             lo = g.n * rho_eo(h).value - h.degree(root) * beta(g).value
             hi = g.n * rho_eo(h).value + rho_eo(g).value
             yield [g, h, f"root={root}"], "holds", _within(lo, val, hi)
     # sharpness: cycles with star fibers rooted at the center hit the lower
     # bound; long-leg subdivided stars rooted at the far end hit the upper
     for n, r in ((4, 2), (4, 3), (6, 2)):
-        val = rho_eo(rooted_product(cycle(n), star(r), 0).graph).value
+        val = rho_eo(_rooted(cycle(n), star(r), 0)).value
         yield [f"C_{n} rooted K_1,{r}"], n * r // 2, val
     for r in (2, 3):
         h = subdivided_star([3] + [1] * (r - 1))
         for g in (path(3), cycle(4), complete(3)):
-            val = rho_eo(rooted_product(g, h, 3).graph).value
+            val = rho_eo(_rooted(g, h, 3)).value
             yield (
                 [f"r={r}", g, h],
                 (g.n * r + rho_eo(g).value, r),
@@ -810,26 +886,27 @@ def run_check(
     instances_run, failures, capacity_skips = 0, [], 0
     timed_out, error = False, None
     try:
-        records = check.runner(CheckRun(seed, max_n))
-        # the one budget gate: no instance starts once the deadline has passed
-        while not (timed_out := time.monotonic() > deadline):
-            record = next(records, None)
-            if record is None:
-                break
-            inputs, expected, actual = record
-            instances_run += 1
-            expected, actual = _jsonable(expected), _jsonable(actual)
-            if expected != actual:
-                failures.append(
-                    {
-                        "inputs_graph6": [
-                            write_graph6(x) if isinstance(x, Graph) else str(x)
-                            for x in inputs
-                        ],
-                        "expected": expected,
-                        "actual": actual,
-                    }
-                )
+        with _product_memo():
+            records = check.runner(CheckRun(seed, max_n))
+            # the one budget gate: no instance starts once the deadline has passed
+            while not (timed_out := time.monotonic() > deadline):
+                record = next(records, None)
+                if record is None:
+                    break
+                inputs, expected, actual = record
+                instances_run += 1
+                expected, actual = _jsonable(expected), _jsonable(actual)
+                if expected != actual:
+                    failures.append(
+                        {
+                            "inputs_graph6": [
+                                write_graph6(x) if isinstance(x, Graph) else str(x)
+                                for x in inputs
+                            ],
+                            "expected": expected,
+                            "actual": actual,
+                        }
+                    )
     except CapacityError:
         capacity_skips = 1
     except Exception as exc:  # one broken runner must not abort the suite
@@ -877,8 +954,10 @@ def _tasks(ids: list) -> list:
 
 
 def _run_task(ids: list, budget, seed, max_n) -> list:
-    """Reports of the checks ``ids``, run in order in this process: one pool task."""
-    return [run_check(cid, budget, seed, max_n) for cid in ids]
+    """Reports of the checks ``ids``, run in order in this process with one product memo: one
+    pool task."""
+    with _product_memo():
+        return [run_check(cid, budget, seed, max_n) for cid in ids]
 
 
 def run_suite(
@@ -890,17 +969,18 @@ def run_suite(
     """Run all checks whose id or corpus contains the filter; returns (reports, summary).
 
     The checks run as pool tasks (:func:`_tasks`) in forked workers (:func:`_workers`), each
-    timing its own ``wall_ms``, or in process, in registry order, when there is one worker
-    or a budget of at most 0 s, under which every check is skipped before its first instance.
+    timing its own ``wall_ms``, or in process as one task, in registry order, when there is one
+    worker or a budget of at most 0 s, under which every check is skipped before its first
+    instance.
     Tasks are submitted last-registered first: the longest checks come last in the registry,
     so a worker that starts them early leaves the short ones to fill the other workers' tails.
     Reports come back in registry order, ``error`` for every check of a task whose worker died.
     """
-    checks = list_checks(name_filter)
-    tasks = _tasks([c.id for c in checks])
+    ids = [c.id for c in list_checks(name_filter)]
+    tasks = _tasks(ids)
     workers = 1 if budget is not None and budget <= 0 else _workers(len(tasks))
     if workers <= 1:
-        done = {c.id: run_check(c.id, budget, seed, max_n) for c in checks}
+        done = dict(zip(ids, _run_task(ids, budget, seed, max_n)))
     else:
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
         from multiprocessing import get_context
@@ -916,7 +996,7 @@ def run_suite(
                 for cid in task:
                     c = REGISTRY[cid]
                     done[cid] = CheckReport(cid, c.citation, 0, [], 0, "error", error=error)
-    reports = [done[c.id] for c in checks]
+    reports = [done[cid] for cid in ids]
     summary = {
         "total": len(reports),
         "pass": sum(r.status == "pass" for r in reports),

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import itertools
 import json
 import multiprocessing
 import os
@@ -8,12 +9,13 @@ import sys
 import threading
 import time
 import warnings
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from eopack import harness, invariants
+from eopack import harness, invariants, products
 from eopack.harness import (
     REGISTRY,
     list_checks,
@@ -386,6 +388,98 @@ def test_later_chain_members_reuse_the_earlier_members_products(monkeypatch, cha
         # factors have at most 3 vertices, so larger graphs are products
         product_hits = {key for key in looked_up if key in stored and key[1] > 3}
         assert bool(product_hits) == (i > 0), cid
+
+
+# ---------------------------------------------------------------------------
+# the product memo: shared by the checks of one pool task, and emptied when the
+# run_check, pool task or in-process run_suite that filled it returns
+# ---------------------------------------------------------------------------
+
+
+def _memo_is_empty() -> bool:
+    return harness._PRODUCTS == {} and harness._memo_users == 0
+
+
+_RUN_TASK = harness._run_task
+
+
+def _task_leaving_the_memo_empty(ids, *args):
+    reports = _RUN_TASK(ids, *args)
+    # raised in the worker, this comes back out of the task's future in the parent
+    assert _memo_is_empty(), ids
+    return reports
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_no_product_outlives_the_suite(monkeypatch, workers):
+    monkeypatch.setattr(harness, "_run_task", _task_leaving_the_memo_empty)
+    _force_workers(monkeypatch, workers)
+    _, summary = run_suite(max_n=3)
+    assert summary["pass"] == summary["total"] - 1
+    assert _memo_is_empty()
+
+
+def test_no_product_outlives_a_direct_run_check(monkeypatch):
+    sizes = []
+    memo = harness._memo
+
+    def spy(key, build):
+        sizes.append(len(harness._PRODUCTS))
+        return memo(key, build)
+
+    monkeypatch.setattr(harness, "_memo", spy)
+    assert run_check("box-eop-bounds", max_n=3).status == "pass"
+    assert max(sizes) > 0 and _memo_is_empty()
+
+
+def test_the_eop_chain_builds_each_product_once(monkeypatch):
+    built, blocks = [], products._blocks
+    asked, product = [], harness.product
+
+    def blocks_spy(*args):
+        built.append(args)
+        return blocks(*args)
+
+    def product_spy(kind, g, h):
+        asked.append((kind, g, h))
+        return product(kind, g, h)
+
+    monkeypatch.setattr(products, "_blocks", blocks_spy)
+    monkeypatch.setattr(harness, "product", product_spy)
+    chain = ("lex-eop-bounds", "lex-min-box", "box-eop-bounds")
+    assert chain in harness._CHAINS
+    assert [r.status for r in harness._run_task(list(chain), None, 0, None)] == ["pass"] * 3
+    # 324 lex products, 171 box and 171 strong ones (one per unordered pair), K_{1,2} box K_{1,3}
+    assert len(built) == len(set(asked)) == len(asked) == 667
+    assert _memo_is_empty()
+
+
+def test_roots_are_represented_by_their_orbit_minima():
+    graphs = harness._graphs_upto(5)
+    assert len(graphs) == 52
+    for h in graphs:
+        auts = [
+            p
+            for p in itertools.permutations(range(h.n))
+            if all(h.has_edge(p[u], p[v]) for u, v in h.edges)
+        ]
+        assert harness._orbit_minima(h) == tuple(min(p[v] for p in auts) for v in range(h.n))
+
+
+def test_a_serial_suite_builds_and_solves_shared_products_once(monkeypatch):
+    calls = Counter()
+    for module, name in ((products, "_blocks"), (invariants, "_solve")):
+
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    _force_workers(monkeypatch, 1)
+    invariants.clear_cache()
+    run_suite(seed=0)
+    # 6,371 and 4,824 when every ordered pair and every root built and solved its own product
+    assert calls == {"_blocks": 1906, "_solve": 3558}
 
 
 def test_pooled_reports_come_back_in_registry_order(monkeypatch):
