@@ -234,7 +234,7 @@ class HypercubeRow(NamedTuple):
 
 
 def hypercube_table(max_n: int) -> list:
-    """Rows of the hypercube packing table for Q_1 .. Q_min(max_n, 8).
+    """Rows of the hypercube packing table for Q_1 .. Q_max_n; max_n past 8 raises GraphError.
 
     Up to dimension 6 the packings are solved exactly, and rho_eo is solved
     up to dimension 4, then witnessed by all edges at a maximum 3-packing.
@@ -243,8 +243,10 @@ def hypercube_table(max_n: int) -> list:
     or that code) lifts through the prism Q_n = Q_(n-1) box K_2 to a maximum
     3-packing, whose edges give the rho_eo bound.
     """
+    if max_n > 8:
+        raise GraphError(f"the hypercube table stops at Q_8, got max_n = {max_n}")
     rows = []
-    for n in range(1, min(max_n, 8) + 1):
+    for n in range(1, max_n + 1):
         q = hypercube(n)
         checks = []
         r2: Optional[int] = None

@@ -27,6 +27,14 @@ subproblem's value depends only on G[rem], and it brings ``rho_eo(Q_6)`` to
 ``rho_2(Q_8)`` and A(9,4) = ``rho_3(Q_9)`` to about a second each.
 :func:`enumerate_optimal` (which needs every optimum, and reaches each
 once) never uses a group.
+
+Every named invariant (``nu_i``, ``rho_eo``, ``alpha``, ``rho_o``,
+``distance_packing``, ``gamma``; ``beta`` through ``alpha``) enters through
+one front door, :func:`_invariant`: gate, then cache, then solve.  The cap
+is read and checked once, before the value cache, and a miss is solved
+under that cap and named there; a call with ``max_items`` neither reads nor
+writes the cache.  :func:`max_independent_set`, :func:`enumerate_optimal`
+and :func:`has_perfect_code` gate themselves and are never cached.
 """
 
 from __future__ import annotations
@@ -366,12 +374,10 @@ def _item_orbits(g: Graph, edge_items: bool) -> list:
     return [o for o in orbit_masks(count, gens) if o & (o - 1)]
 
 
-def _solve(
-    name: str, count: int, adj: Sequence[int], g: Graph, edge_items: bool
-) -> InvariantResult:
+def _solve(count: int, adj: Sequence[int], g: Graph, edge_items: bool) -> InvariantResult:
     # the root's group is lifted from Aut(g), found only if the root asks
     size, (witness,), nodes = _search(count, adj, root_orbits=lambda: _item_orbits(g, edge_items))
-    return InvariantResult(name, size, witness, nodes)
+    return InvariantResult("mis", size, witness, nodes)
 
 
 def max_independent_set(
@@ -384,29 +390,13 @@ def max_independent_set(
     else:
         count, adj, g, unit = c.n, c.adj, c, "vertices"
     _gate(count, unit, max_items)
-    return _solve("mis", count, adj, g, edge_items)
+    return _solve(count, adj, g, edge_items)
 
 
 # value cache of InvariantResults keyed by (invariant, order, edge list);
 # entries are never mutated and solves are deterministic, so concurrent
 # writers can only insert identical entries
 _CACHE: dict = {}
-
-
-def _cached(name: str, g: Graph, fn, max_items: Optional[int]):
-    """``fn()``, cached under ``(name, g)`` unless ``max_items`` is given.
-
-    A call with ``max_items`` neither reads nor writes the cache.  Callers
-    pass :func:`_gate` first, so a value solved under a higher cap is never
-    returned past a lower one.
-    """
-    key = (name, g.n, g.edges)
-    if max_items is None and key in _CACHE:
-        return _CACHE[key]
-    res = fn()
-    if max_items is None:
-        _CACHE[key] = res
-    return res
 
 
 def clear_cache() -> None:
@@ -417,35 +407,43 @@ def clear_cache() -> None:
 # named invariants
 # ---------------------------------------------------------------------------
 
-def _mis_invariant(name: str, g: Graph, instance, max_items: Optional[int], unit: str):
-    # max_independent_set on instance(), renamed and cached under ``name``; the
-    # cap is read once, checked before the cache, and the solve is held to it
+def _invariant(name: str, g: Graph, unit: str, solve, max_items: Optional[int]):
+    """Gate, then cache, then ``solve(cap)``: the front door of every named invariant.
+
+    ``unit`` says whether g's edges (``"items"``) or vertices meet the cap.
+    """
     cap = _gate(g.m if unit == "items" else g.n, unit, max_items)
-
-    def solve():
-        res = max_independent_set(instance(), cap)
-        return InvariantResult(name, res.value, res.witness, res.nodes)
-
-    return _cached(name, g, solve, max_items)
+    key = (name, g.n, g.edges)
+    if max_items is None and key in _CACHE:
+        return _CACHE[key]
+    res = solve(cap)
+    res = InvariantResult(name, res.value, res.witness, res.nodes, res.proven_optimal)
+    if max_items is None:
+        _CACHE[key] = res
+    return res
 
 
 def nu_i(g: Graph, max_items: Optional[int] = None) -> InvariantResult:
     """Induced matching number: max edges pairwise non-adjacent and unjoined."""
-    return _mis_invariant(
-        "nu_i", g, lambda: build_conflict_graph(g, "induced_matching"), max_items, "items"
-    )
+
+    def solve(cap):
+        return max_independent_set(build_conflict_graph(g, "induced_matching"), cap)
+
+    return _invariant("nu_i", g, "items", solve, max_items)
 
 
 def rho_eo(g: Graph, max_items: Optional[int] = None) -> InvariantResult:
     """Edge open packing number: max edges with no third edge joining two of them."""
-    return _mis_invariant(
-        "rho_eo", g, lambda: build_conflict_graph(g, "eop"), max_items, "items"
-    )
+
+    def solve(cap):
+        return max_independent_set(build_conflict_graph(g, "eop"), cap)
+
+    return _invariant("rho_eo", g, "items", solve, max_items)
 
 
 def alpha(g: Graph, max_items: Optional[int] = None) -> InvariantResult:
     """Independence number."""
-    return _mis_invariant("alpha", g, lambda: g, max_items, "vertices")
+    return _invariant("alpha", g, "vertices", lambda cap: max_independent_set(g, cap), max_items)
 
 
 def beta(g: Graph, max_items: Optional[int] = None) -> InvariantResult:
@@ -456,19 +454,16 @@ def beta(g: Graph, max_items: Optional[int] = None) -> InvariantResult:
     return InvariantResult("beta", g.n - a.value, cover, a.nodes)
 
 
-def _vertex_packing(name: str, g: Graph, rows, max_items: Optional[int]):
-    # MIS over V(g), v conflicting with rows()[v] - v, cached under ``name``
-    def solve():
-        conf = [row & ~(1 << v) for v, row in enumerate(rows())]
-        return _solve(name, g.n, conf, g, False)
-
-    _gate(g.n, "vertices", max_items)
-    return _cached(name, g, solve, max_items)
+def _vertex_packing(rows: Sequence[int], g: Graph) -> InvariantResult:
+    # MIS over V(g), v conflicting with rows[v] - v
+    return _solve(g.n, [row & ~(1 << v) for v, row in enumerate(rows)], g, False)
 
 
 def rho_o(g: Graph, max_items: Optional[int] = None) -> InvariantResult:
     """Open packing number: max vertices with pairwise disjoint open neighborhoods."""
-    return _vertex_packing("rho_o", g, lambda: _reach(g.adj, g.adj), max_items)
+    return _invariant(
+        "rho_o", g, "vertices", lambda cap: _vertex_packing(_reach(g.adj, g.adj), g), max_items
+    )
 
 
 def distance_packing(g: Graph, k: int, max_items: Optional[int] = None) -> InvariantResult:
@@ -476,14 +471,14 @@ def distance_packing(g: Graph, k: int, max_items: Optional[int] = None) -> Invar
     if k not in (2, 3):
         raise ValueError("distance packing supports k in {2, 3}")
 
-    def ball():
+    def solve(cap):
         # radius-k balls: closed neighbourhoods, then k - 1 steps
         rows = [row | (1 << v) for v, row in enumerate(g.adj)]
         for _ in range(k - 1):
             rows = _reach(g.adj, rows)
-        return rows
+        return _vertex_packing(rows, g)
 
-    return _vertex_packing(f"rho_{k}", g, ball, max_items)
+    return _invariant(f"rho_{k}", g, "vertices", solve, max_items)
 
 
 def gamma(g: Graph, max_items: Optional[int] = None) -> InvariantResult:
@@ -494,7 +489,7 @@ def gamma(g: Graph, max_items: Optional[int] = None) -> InvariantResult:
     lowest index).
     """
 
-    def solve():
+    def solve(cap):
         n = g.n
         closed = [g.adj[v] | (1 << v) for v in range(n)]
         full = (1 << n) - 1
@@ -532,8 +527,7 @@ def gamma(g: Graph, max_items: Optional[int] = None) -> InvariantResult:
             stack.extend((unc & ~closed[v], chosen + (v,)) for v in reversed(cands))
         return InvariantResult("gamma", best_size, tuple(best), nodes)
 
-    _gate(g.n, "vertices", max_items)
-    return _cached("gamma", g, solve, max_items)
+    return _invariant("gamma", g, "vertices", solve, max_items)
 
 
 def has_perfect_code(g: Graph) -> Optional[tuple]:

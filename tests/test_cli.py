@@ -138,6 +138,12 @@ def test_table_hypercubes(capsys):
     assert lines[6] == "6 8 4 >=24"
 
 
+def test_table_past_q8_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "table", "--name", "hypercubes", "--max-n", "9")
+    assert code == 2 and out == ""
+    assert err == "error: the hypercube table stops at Q_8, got max_n = 9\n"
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compute", "--invariant", "bogus", "--g6", "Bw"])

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import hashlib
 import itertools
 import json
 import multiprocessing
@@ -366,6 +367,14 @@ def test_pooled_and_serial_suites_are_byte_identical(monkeypatch, kwargs):
     assert texts[0] == texts[1]
 
 
+def test_the_max_n_3_suite_report_is_pinned_by_digest():
+    # CI pins the full seed-0 report alike; this smaller suite runs in a fraction of a second
+    invariants.clear_cache()
+    report = json.dumps(suite_json(*run_suite(max_n=3), with_timing=False))
+    digest = "6bab52fbb5cdb897edcc35eebfd3e50e3ba6d0b50285b47d819cef1729ead90b"
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
 def test_every_chained_check_is_registered():
     assert {cid for chain in harness._CHAINS for cid in chain} <= set(REGISTRY)
 
@@ -373,13 +382,13 @@ def test_every_chained_check_is_registered():
 @pytest.mark.parametrize("chain", harness._CHAINS, ids=lambda chain: chain[0])
 def test_later_chain_members_reuse_the_earlier_members_products(monkeypatch, chain):
     looked_up = []
-    cached = invariants._cached
+    front_door = invariants._invariant
 
     def spy(name, g, *args):
         looked_up.append((name, g.n, g.edges))
-        return cached(name, g, *args)
+        return front_door(name, g, *args)
 
-    monkeypatch.setattr(invariants, "_cached", spy)
+    monkeypatch.setattr(invariants, "_invariant", spy)
     invariants.clear_cache()
     for i, cid in enumerate(chain):
         stored = set(invariants._CACHE)

@@ -137,9 +137,9 @@ def vertex_conflicts(g, name):
 def test_vertex_packing_rows_match_pairwise_definition(monkeypatch):
     rows = {}
 
-    def capture(name, count, adj, g, edge_items):
-        rows[name] = list(adj)
-        return InvariantResult(name, 0, (), 0)
+    def capture(count, adj, g, edge_items):
+        # the rows ride out as the witness, under the name the front door gives
+        return InvariantResult("mis", 0, tuple(adj), 0)
 
     monkeypatch.setattr(invariants, "_solve", capture)
     corpus = [g for n in range(1, 7) for g in enumerate_graphs(n, dedup=True)]
@@ -154,9 +154,12 @@ def test_vertex_packing_rows_match_pairwise_definition(monkeypatch):
         corpus.append(Graph.from_edges(1 << d, [(perm[u], perm[v]) for u, v in hypercube(d).edges]))
     for g in corpus:
         # an explicit cap bypasses the value cache, so every call builds rows
-        rho_o(g, max_items=g.n)
-        distance_packing(g, 2, max_items=g.n)
-        distance_packing(g, 3, max_items=g.n)
+        for res in (
+            rho_o(g, max_items=g.n),
+            distance_packing(g, 2, max_items=g.n),
+            distance_packing(g, 3, max_items=g.n),
+        ):
+            rows[res.name] = list(res.witness)
         assert sorted(rows) == ["rho_2", "rho_3", "rho_o"]
         for name in rows:
             assert rows[name] == vertex_conflicts(g, name), (g.edges, name)
@@ -206,9 +209,10 @@ def test_mis_capacity_error():
         (beta, "EOPACK_MAX_VERTICES", "5 vertices"),
         (rho_o, "EOPACK_MAX_VERTICES", "5 vertices"),
         (lambda g: distance_packing(g, 2), "EOPACK_MAX_VERTICES", "5 vertices"),
+        (lambda g: distance_packing(g, 3), "EOPACK_MAX_VERTICES", "5 vertices"),
         (gamma, "EOPACK_MAX_VERTICES", "5 vertices"),
     ],
-    ids=["nu_i", "rho_eo", "alpha", "beta", "rho_o", "rho_2", "gamma"],
+    ids=["nu_i", "rho_eo", "alpha", "beta", "rho_o", "rho_2", "rho_3", "gamma"],
 )
 def test_a_cached_value_obeys_a_lower_cap(monkeypatch, solve, var, message):
     monkeypatch.delenv(var, raising=False)
@@ -269,20 +273,34 @@ def test_uncached_entries_solve_up_to_their_cap(
         assert solve(c, max_items=count) == want
 
 
-@pytest.mark.parametrize(
-    "solve",
-    [nu_i, rho_eo, alpha, rho_o, lambda g, **kw: distance_packing(g, 2, **kw)],
-    ids=["nu_i", "rho_eo", "alpha", "rho_o", "rho_2"],
-)
+def _count_front_door(monkeypatch):
+    """Patch the front door to log each entry's name, and each solve it makes."""
+    entries, solves = [], []
+    front_door = invariants._invariant
+
+    def counting(name, g, unit, solve, max_items):
+        entries.append(name)
+        return front_door(name, g, unit, lambda cap: solves.append(name) or solve(cap), max_items)
+
+    monkeypatch.setattr(invariants, "_invariant", counting)
+    return entries, solves
+
+
+# every entry point the front door serves, by the name it caches under
+NAMED = {
+    "nu_i": nu_i,
+    "rho_eo": rho_eo,
+    "alpha": alpha,
+    "rho_o": rho_o,
+    "rho_2": lambda g, **kw: distance_packing(g, 2, **kw),
+    "rho_3": lambda g, **kw: distance_packing(g, 3, **kw),
+    "gamma": gamma,
+}
+
+
+@pytest.mark.parametrize("solve", list(NAMED.values()), ids=list(NAMED))
 def test_max_items_bypasses_the_value_cache(monkeypatch, solve):
-    solves = []
-    inner = invariants._solve
-
-    def counting(*args):
-        solves.append(args[0])
-        return inner(*args)
-
-    monkeypatch.setattr(invariants, "_solve", counting)
+    _, solves = _count_front_door(monkeypatch)
     invariants.clear_cache()
     g = cycle(7)
     capped = solve(g, max_items=7)
@@ -293,6 +311,19 @@ def test_max_items_bypasses_the_value_cache(monkeypatch, solve):
     assert solve(g, max_items=7) == capped and len(solves) == 3
     assert invariants._CACHE == stored
     assert solve(g) == capped and len(solves) == 3
+
+
+@pytest.mark.parametrize("name", list(NAMED) + ["beta"])
+@pytest.mark.parametrize("max_items", [None, 7], ids=["cached", "capped"])
+def test_each_invariant_enters_the_front_door_once_per_call(monkeypatch, name, max_items):
+    entries, _ = _count_front_door(monkeypatch)
+    invariants.clear_cache()
+    solve = NAMED.get(name, beta)
+    for calls in (1, 2):
+        res = solve(cycle(7), max_items=max_items)
+        # beta is derived from alpha, and enters only through it
+        assert entries == ["alpha" if name == "beta" else name] * calls
+        assert res.name == name
 
 
 def test_capped_calls_leave_the_value_cache_empty(monkeypatch):
