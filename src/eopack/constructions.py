@@ -220,9 +220,11 @@ def hypercube_eop_witness(k: int) -> tuple:
 class HypercubeRow(NamedTuple):
     """One row of the hypercube packing table.
 
-    ``rho_2`` is None where the value is open; ``rho_eo`` is exact when
-    ``rho_eo_exact``, else a witness-certified lower bound; ``verified`` says
-    every witness the row rests on passed :func:`verify_witness`.
+    ``rho_2`` is None where the table does not compute it: Q_8's, A(8,3) =
+    20, is proved by ``eopack compute --invariant rho-2 --max-items 256`` on
+    Q_8 instead.  ``rho_eo`` is exact when ``rho_eo_exact``, else a
+    witness-certified lower bound; ``verified`` says every witness the row
+    rests on passed :func:`verify_witness`.
     """
 
     n: int

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -158,17 +157,13 @@ def _rows_from_bit_string(n: int, s: str) -> list:
     return adj
 
 
-def _graph_from_bit_string(n: int, s: str) -> Graph:
-    return Graph(n, _rows_from_bit_string(n, s))
-
-
 def _pack_bits(g: Graph) -> int:
     """Adjacency bitstring of g packed into an int, first pair most significant."""
     return int(_bit_string(g.adj) or "0", 2)
 
 
 def _graph_from_bits(n: int, packed: int) -> Graph:
-    return _graph_from_bit_string(n, format(packed, f"0{n * (n - 1) // 2}b"))
+    return Graph(n, _rows_from_bit_string(n, format(packed, f"0{n * (n - 1) // 2}b")))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -210,7 +205,7 @@ def parse_graph6(text: str) -> Graph:
     body = six_bits(pos, len(data))
     if "1" in body[nbits:]:
         raise GraphError(f"nonzero padding bits at byte {pos + nbytes - 1}")
-    return _graph_from_bit_string(n, body[:nbits])
+    return Graph(n, _rows_from_bit_string(n, body[:nbits]))
 
 
 def write_graph6(g: Graph) -> str:
@@ -342,39 +337,6 @@ def figure1_xy_edges(r: int) -> list:
     """The deletable x_i y_i edges of :func:`figure1` (bottom to right corner)."""
     k = 2 * r + 1
     return [(k + 3 * i + 1, k + 3 * i + 2) for i in range(k)]
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Named graph family with parameters, e.g. ``GeneratorSpec("path", (7,))``."""
-
-    family: str
-    params: tuple
-
-
-_FAMILIES = {
-    "path": (1, lambda p: path(p[0])),
-    "cycle": (1, lambda p: cycle(p[0])),
-    "complete": (1, lambda p: complete(p[0])),
-    "complete_bipartite": (2, lambda p: complete_bipartite(p[0], p[1])),
-    "star": (1, lambda p: star(p[0])),
-    "subdivided_star": (None, lambda p: subdivided_star(list(p))),
-    "spider": (1, lambda p: spider(p[0])),
-    "hypercube": (1, lambda p: hypercube(p[0])),
-    "figure1": (1, lambda p: figure1(p[0])),
-}
-
-
-def generate(spec: GeneratorSpec) -> Graph:
-    if spec.family not in _FAMILIES:
-        raise GraphError(f"unknown family {spec.family!r}")
-    arity, fn = _FAMILIES[spec.family]
-    params = tuple(spec.params)
-    if arity is not None and len(params) != arity:
-        raise GraphError(f"family {spec.family!r} takes {arity} parameter(s)")
-    if not params or any((not isinstance(p, int)) or p < 1 for p in params):
-        raise GraphError(f"family {spec.family!r} needs positive integer parameters")
-    return fn(params)
 
 
 # ---------------------------------------------------------------------------

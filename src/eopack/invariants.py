@@ -3,28 +3,10 @@
 Edge invariants (induced matching, edge open packing) and vertex packings
 (open, 2-, 3-packing) reduce to maximum independent set on a conflict graph
 whose rows one neighbourhood step, :func:`_reach`, builds, so a single
-exact solver backs every invariant here.  The solver is deterministic:
-its first witness is a min-degree greedy set, so it searches only for a
-larger one, and every node follows one child rule.  A greedy clique cover
-of the candidates either prunes the node or leaves a branch set B
-uncovered.  The sets S_1 < ... < S_k, by least item, are the orbits of the
-node's automorphism group that meet B (the singletons of B under the
-trivial group); child i includes min S_i and excludes S_1..S_(i-1).  A set
-too large for the cover meets B, so a group element carries it into the
-child of the first S_i it meets.  The children are explored in order, so
-witnesses are reproducible.
-
-Every node, the root included, follows one group rule: an unpruned node
-with at least ``SYMMETRY_MIN_ITEMS`` candidates (96) and two or more items
-in B asks for its group; any other node has the trivial group (one item in
-B gives one child whatever the group).  The root's group lifts the
-automorphisms of the base graph (:func:`eopack.graph.automorphism_generators`)
-to the items, so it is found only if the root asks; a node below uses those
-of its own conflict subgraph G[rem].  A node that finds only singleton
-orbits leaves its subtree to the trivial group.  This is exact, since a
-subproblem's value depends only on G[rem], and it brings ``rho_eo(Q_6)`` to
-365 nodes, ``rho_eo(Q_7)`` to 106,922 and the code sizes A(8,3) =
-``rho_2(Q_8)`` and A(9,4) = ``rho_3(Q_9)`` to about a second each.
+exact solver, :func:`_search`, backs every invariant here.  Its docstring
+states the child rule and the group rule once: which nodes branch over
+orbits, and whose automorphisms each of them uses.  The search is
+deterministic, so witnesses are reproducible.
 :func:`enumerate_optimal` (which needs every optimum, and reaches each
 once) never uses a group.
 
@@ -116,7 +98,8 @@ class InvariantResult:
 
 @dataclass(frozen=True)
 class ConflictGraph:
-    """Auxiliary graph over edge indices of ``base``.
+    """Auxiliary graph over edge indices of ``base``: row i of ``conflicts`` holds
+    the edges that conflict with ``base.edges[i]``.
 
     Independent sets of the conflict graph are exactly the induced matchings
     (kind ``induced_matching``) or edge open packing sets (kind ``eop``) of
@@ -124,13 +107,11 @@ class ConflictGraph:
     """
 
     base: Graph
-    kind: str
-    items: tuple
     conflicts: tuple
 
     @property
     def item_count(self) -> int:
-        return len(self.items)
+        return len(self.conflicts)
 
 
 def _eop_conflict(g: Graph, e1, e2) -> bool:
@@ -205,7 +186,7 @@ def build_conflict_graph(g: Graph, kind: str) -> ConflictGraph:
                 row |= inc[low.bit_length() - 1] & ends
                 common ^= low
             conf.append(row)
-    return ConflictGraph(g, kind, g.edges, tuple(conf))
+    return ConflictGraph(g, tuple(conf))
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +260,13 @@ def _search(
     at least two items in B asks for its group (orbital branching, Ostrowski
     et al., Math. Prog. 126, 2011).  The root asks ``root_orbits()``, which
     returns the non-singleton orbits of a group of automorphisms of ``adj``,
-    as masks; a node below asks for those of its own subproblem, the
-    conflict subgraph G[rem] (:func:`_candidate_orbits`).  That is exact
-    too: what the subtree can add depends only on G[rem].  A node whose
-    orbits are all singletons, and everything below it, uses the trivial
-    group.  A node whose B holds one item has one child whatever its group,
-    so it asks for none and leaves its children's groups to them.
+    as masks (:func:`_solve` passes the base graph's automorphisms lifted to
+    the items, :func:`_item_orbits`); a node below asks for those of its own
+    subproblem, the conflict subgraph G[rem] (:func:`_candidate_orbits`).
+    That is exact too: what the subtree can add depends only on G[rem].  A
+    node whose orbits are all singletons, and everything below it, uses the
+    trivial group.  A node whose B holds one item has one child whatever its
+    group, so it asks for none and leaves its children's groups to them.
     """
     greedy = _greedy_set(count, adj)
     best = greedy.bit_count()

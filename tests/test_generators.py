@@ -3,7 +3,6 @@ import math
 import pytest
 
 from eopack.graph import (
-    GeneratorSpec,
     Graph,
     GraphError,
     bipartition,
@@ -14,7 +13,6 @@ from eopack.graph import (
     distances,
     figure1,
     figure1_xy_edges,
-    generate,
     hypercube,
     path,
     spider,
@@ -98,17 +96,6 @@ def test_figure1_xy_edges_are_present():
         assert all(g.has_edge(u, v) for u, v in xys)
         h = g.without_edges(xys)
         assert h.m == g.m - (2 * r + 1)
-
-
-def test_generate_dispatch():
-    assert generate(GeneratorSpec("spider", (3,))) == spider(3)
-    assert generate(GeneratorSpec("subdivided_star", (2, 1, 1))) == subdivided_star([2, 1, 1])
-    with pytest.raises(GraphError):
-        generate(GeneratorSpec("path", (0,)))
-    with pytest.raises(GraphError):
-        generate(GeneratorSpec("octahedron", (1,)))
-    with pytest.raises(GraphError):
-        generate(GeneratorSpec("cycle", (3, 3)))
 
 
 def test_distances():

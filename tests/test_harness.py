@@ -574,6 +574,35 @@ def test_a_suite_with_no_budget_runs_without_a_pool(monkeypatch, budget):
     assert _outcomes(budget=budget) == {cid: ("skipped", 0, 0) for cid in ALL_CHECK_IDS}
 
 
+def test_a_nan_budget_is_refused_before_any_runner_or_pool(monkeypatch):
+    # t0 + nan is no deadline at all: every comparison with it is false
+    entered = []
+
+    def runner(run):
+        entered.append(run)
+        yield ["x"], 1, 1
+
+    _patch_runner(monkeypatch, runner)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    _force_workers(monkeypatch, 2)
+    with pytest.raises(ValueError, match="nan"):
+        run_check("lex-nu-equality", budget=float("nan"))
+    with pytest.raises(ValueError, match="nan"):
+        run_suite(budget=float("nan"))
+    assert entered == []
+    assert run_check("paths-formulas", budget=float("inf")).status == "pass"
+
+
+@pytest.mark.parametrize(
+    "sides",
+    [lambda g: None, lambda g: (tuple(range(127)), tuple(range(127, 256)))],
+    ids=["odd-cycle", "unequal-sides"],
+)
+def test_the_q8_certificate_never_passes_on_a_bad_bipartition(monkeypatch, sides):
+    monkeypatch.setattr(harness, "bipartition", sides)
+    assert run_check("roeo-q2k").status in ("error", "fail")
+
+
 def _kill_a_worker(monkeypatch, name_filter, dying) -> list:
     """Pooled reports of the filter when check ``dying`` kills its worker."""
     parent = os.getpid()

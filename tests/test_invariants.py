@@ -97,7 +97,7 @@ def test_conflict_builder_matches_pairwise_definition():
     for g in corpus:
         for kind in ("induced_matching", "eop"):
             cg = build_conflict_graph(g, kind)
-            assert cg.items == g.edges
+            assert cg.base is g
             assert cg.conflicts == pairwise_conflicts(g, kind), (g.edges, kind)
 
 
@@ -719,3 +719,16 @@ def test_product_solves_are_pinned_by_digest():
                     r = solve(p, max_items=300)
                     digest.update(repr((r.value, r.witness, r.nodes)).encode() + b"\n")
     assert digest.hexdigest() == "265b690c972aefcd0922310a0f47f9a0c2e0c3458659929697b9ea61eab9930e"
+
+
+def test_a_double_star_lex_k2_plus_k1_attains_the_lower_lex_eop_bound_strictly():
+    # rho_eo(G) alpha(H) <= rho_eo(G lex H) <= that + rho_eo(H) (alpha(G) - rho_eo(G)):
+    # an instance where the bounds differ and the lower one is attained
+    g = Graph.from_edges(6, [(0, 5), (1, 5), (2, 4), (3, 4), (4, 5)])
+    h = Graph.from_edges(3, [(0, 1)])
+    lower = rho_eo(g).value * alpha(h).value
+    upper = lower + rho_eo(h).value * (alpha(g).value - rho_eo(g).value)
+    p = product("lex", g, h).graph
+    r = rho_eo(p)
+    assert (lower, upper, r.value, r.nodes) == (6, 7, 6, 10)
+    assert len(r.witness) == 6 and verify_witness(p, r.witness, "eop")
