@@ -979,8 +979,11 @@ class SplitMix64:
 
 def random_graph(n: int, p, seed: int) -> Graph:
     """Edge-independent random graph; each pair drawn from one splitmix64 stream."""
-    frac = Fraction(p)
-    if not 0 <= frac <= 1:
+    try:
+        frac = Fraction(p)  # nan raises ValueError, inf OverflowError
+    except (ValueError, OverflowError):
+        frac = None
+    if frac is None or not 0 <= frac <= 1:
         raise GraphError("edge probability must lie in [0, 1]")
     threshold = (frac.numerator << 64) // frac.denominator
     rng = SplitMix64(seed)

@@ -375,9 +375,10 @@ def max_independent_set(
     return _solve(count, adj, g, edge_items)
 
 
-# value cache of InvariantResults keyed by (invariant, order, edge list);
-# entries are never mutated and solves are deterministic, so concurrent
-# writers can only insert identical entries
+# value cache of InvariantResults keyed by (invariant, adjacency rows); a
+# Graph's validated rows fix its order and edge list, so the key is exact and
+# keeps no edge list alive.  Entries are never mutated and solves are
+# deterministic, so concurrent writers can only insert identical entries
 _CACHE: dict = {}
 
 
@@ -393,11 +394,14 @@ def _invariant(name: str, g: Graph, unit: str, solve, max_items: Optional[int]):
     """Gate, then cache, then ``solve(cap)``: the front door of every named invariant.
 
     ``unit`` says whether g's edges (``"items"``) or vertices meet the cap.
+    Uncapped calls share one entry per ``(name, g.adj)``, however g was built.
     """
     cap = _gate(g.m if unit == "items" else g.n, unit, max_items)
-    key = (name, g.n, g.edges)
-    if max_items is None and key in _CACHE:
-        return _CACHE[key]
+    key = (name, g.adj)
+    if max_items is None:
+        hit = _CACHE.get(key)
+        if hit is not None:
+            return hit
     res = solve(cap)
     res = InvariantResult(name, res.value, res.witness, res.nodes, res.proven_optimal)
     if max_items is None:

@@ -15,6 +15,7 @@ from eopack.graph import (
     figure1_xy_edges,
     hypercube,
     path,
+    random_graph,
     spider,
     star,
     subdivided_star,
@@ -140,6 +141,9 @@ _BAD_INPUTS = [
     (lambda: spider(0), "spider needs k >= 1"),
     (lambda: hypercube(0), "hypercube needs n >= 1"),
     (lambda: figure1(0), "figure1 needs r >= 1"),
+    (lambda: random_graph(5, 1.5, 0), "edge probability must lie in [0, 1]"),
+    (lambda: random_graph(5, float("nan"), 0), "edge probability must lie in [0, 1]"),
+    (lambda: random_graph(5, float("inf"), 0), "edge probability must lie in [0, 1]"),
 ]
 
 

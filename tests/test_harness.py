@@ -381,21 +381,26 @@ def test_every_chained_check_is_registered():
 
 @pytest.mark.parametrize("chain", harness._CHAINS, ids=lambda chain: chain[0])
 def test_later_chain_members_reuse_the_earlier_members_products(monkeypatch, chain):
-    looked_up = []
+    hits = []
     front_door = invariants._invariant
 
-    def spy(name, g, *args):
-        looked_up.append((name, g.n, g.edges))
-        return front_door(name, g, *args)
+    def spy(name, g, unit, solve, max_items):
+        # as perfbench's tracer counts: an uncapped call that adds no entry is a hit
+        size = len(invariants._CACHE)
+        res = front_door(name, g, unit, solve, max_items)
+        if max_items is None and len(invariants._CACHE) == size:
+            hits.append((g.n, res))
+        return res
 
     monkeypatch.setattr(invariants, "_invariant", spy)
     invariants.clear_cache()
     for i, cid in enumerate(chain):
-        stored = set(invariants._CACHE)
-        looked_up.clear()
+        earlier = {id(res) for res in invariants._CACHE.values()}
+        hits.clear()
         assert run_check(cid, max_n=3).status == "pass"
-        # factors have at most 3 vertices, so larger graphs are products
-        product_hits = {key for key in looked_up if key in stored and key[1] > 3}
+        # factors have at most 3 vertices, so larger graphs are products; a hit
+        # returns the stored value itself, so its identity says which check stored it
+        product_hits = [n for n, res in hits if n > 3 and id(res) in earlier]
         assert bool(product_hits) == (i > 0), cid
 
 

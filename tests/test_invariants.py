@@ -19,6 +19,7 @@ from eopack.graph import (
     random_graph,
     spider,
     star,
+    write_graph6,
 )
 from eopack import invariants
 from eopack.constructions import hamming_perfect_code
@@ -342,6 +343,34 @@ def test_capped_calls_leave_the_value_cache_empty(monkeypatch):
     assert rho_eo(q6, max_items=192).value == 24
     assert asked == [q6]
     assert invariants._CACHE == {}
+
+
+@pytest.mark.parametrize("solve", list(NAMED.values()), ids=list(NAMED))
+def test_a_graph_and_its_graph6_copy_share_one_entry(monkeypatch, solve):
+    entries, solves = _count_front_door(monkeypatch)
+    invariants.clear_cache()
+    g = random_graph(9, "1/2", seed=11)
+    copy = parse_graph6(write_graph6(g))
+    assert copy is not g
+    first = solve(g)
+    # the copy is a hit: it enters the front door but solves nothing
+    assert solve(copy) is first
+    assert (len(entries), len(solves), len(invariants._CACHE)) == (2, 1, 1)
+    # a capped call is solved again and leaves the cache as it was
+    stored = dict(invariants._CACHE)
+    assert solve(copy, max_items=max(g.n, g.m)) == first
+    assert len(solves) == 2 and invariants._CACHE == stored
+
+
+@pytest.mark.parametrize("solve", list(NAMED.values()), ids=list(NAMED))
+def test_equal_edge_lists_on_different_orders_get_separate_entries(monkeypatch, solve):
+    _, solves = _count_front_door(monkeypatch)
+    invariants.clear_cache()
+    small, large = Graph.from_edges(3, [(0, 1)]), Graph.from_edges(4, [(0, 1)])
+    assert small.edges == large.edges
+    solve(small)
+    solve(large)
+    assert (len(solves), len(invariants._CACHE)) == (2, 2)
 
 
 # ---------------------------------------------------------------------------
