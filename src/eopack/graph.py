@@ -20,15 +20,38 @@ class GraphError(ValueError):
     """Malformed encoding or invalid generator parameters."""
 
 
+# Every graph on at most _PAIR_BOUND vertices takes the tuple of its edge {v, u},
+# v < u, from row v of this table, so a pair is one object however many graphs hold
+# it; a row is made the first time a graph needs it, and the table never holds more
+# than the 2,016 pairs below the bound.  A larger graph makes its own tuples.
+_PAIR_BOUND = 64
+_PAIRS: list = [None] * _PAIR_BOUND
+
+
+def _pair_row(v: int) -> tuple:
+    """Fill row v of :data:`_PAIRS`: the shared ``(v, u)`` at index u, for v < u < _PAIR_BOUND."""
+    row = _PAIRS[v] = (None,) * (v + 1) + tuple((v, u) for u in range(v + 1, _PAIR_BOUND))
+    return row
+
+
 class Graph:
     """Immutable simple graph: order, adjacency bitsets, canonical edge list.
 
     ``adj[v]`` is the neighbor bitset of ``v``; ``edges`` is the sorted tuple
     of pairs ``(u, v)`` with ``u < v``; ``edge_index`` maps each such pair to
     its position in ``edges``.
+
+    A graph on at most 64 vertices holds no pair of its own: each pair is the
+    one tuple that every such graph shares (:data:`_PAIRS`), so an edge costs
+    the graph an 8-byte slot of ``edges`` rather than a 56-byte tuple.
+    ``edge_index`` is built on first access and kept, since only witness
+    builders, tree certificates and the root group's edge lift read it; the
+    10,816 products of the four kinds over graphs on at most 5 vertices take
+    14 MB under tracemalloc, 75 MB when each graph made its own tuples and
+    index.  Copies and pickles rebuild the graph from ``n`` and ``adj``.
     """
 
-    __slots__ = ("n", "adj", "edges", "edge_index")
+    __slots__ = ("n", "adj", "edges", "_edge_index")
 
     def __init__(self, n: int, adj: Sequence[int]):
         if n < 0:
@@ -36,6 +59,7 @@ class Graph:
         if len(adj) != n:
             raise GraphError("adjacency list length does not match vertex count")
         full = (1 << n) - 1
+        shared = n <= _PAIR_BOUND
         edges = []
         for v in range(n):
             row = adj[v]
@@ -44,22 +68,33 @@ class Graph:
             if row & (1 << v):
                 raise GraphError(f"loop at vertex {v}")
             rest = row >> (v + 1)
+            pairs = (_PAIRS[v] or _pair_row(v)) if shared else None
             while rest:
                 low = rest & -rest
-                u = v + 1 + low.bit_length() - 1
+                u = v + low.bit_length()
                 if not (adj[u] >> v) & 1:
                     raise GraphError(f"asymmetric adjacency between {v} and {u}")
-                edges.append((v, u))
+                edges.append(pairs[u] if shared else (v, u))
                 rest ^= low
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "edges", tuple(edges))  # already sorted: by v, then u
-        object.__setattr__(
-            self, "edge_index", {e: i for i, e in enumerate(self.edges)}
-        )
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
+
+    def __reduce__(self):
+        # rebuilt from its rows, so copies and pickles never carry the index slot
+        return Graph, (self.n, self.adj)
+
+    @property
+    def edge_index(self) -> dict:
+        try:
+            return self._edge_index
+        except AttributeError:
+            index = {e: i for i, e in enumerate(self.edges)}
+            object.__setattr__(self, "_edge_index", index)
+            return index
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":

@@ -240,9 +240,11 @@ def _product_memo():
 
 
 def _memo(key, build):
-    if key not in _PRODUCTS:
-        _PRODUCTS[key] = build()
-    return _PRODUCTS[key]
+    # a hit hashes the key's graphs once; no memo value is None
+    value = _PRODUCTS.get(key)
+    if value is None:
+        value = _PRODUCTS[key] = build()
+    return value
 
 
 def _product(kind: str, g: Graph, h: Graph) -> Graph:

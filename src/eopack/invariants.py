@@ -81,7 +81,7 @@ class CapacityError(RuntimeError):
     """Instance exceeds the exact-solver cap; use a witness construction instead."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InvariantResult:
     """Exact invariant value with a verifying witness.
 

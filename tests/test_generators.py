@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 
@@ -20,6 +22,7 @@ from eopack.graph import (
     star,
     subdivided_star,
 )
+from eopack.invariants import nu_i
 
 
 def test_path_cycle_complete_sizes():
@@ -160,6 +163,54 @@ def test_graph_immutable():
     g = path(3)
     with pytest.raises(AttributeError):
         g.n = 5
+
+
+def test_edge_index_is_built_on_first_access_and_kept():
+    g = cycle(5)
+    assert not hasattr(g, "_edge_index")
+    index = g.edge_index
+    assert index == {e: i for i, e in enumerate(g.edges)}
+    assert g.edge_index is index and g._edge_index is index
+
+
+def test_edge_index_cannot_be_assigned():
+    g = path(4)
+    for _ in range(2):  # before and after the index is built
+        for name in ("edge_index", "_edge_index"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, {})
+        g.edge_index
+    assert g.edge_index == {(0, 1): 0, (1, 2): 1, (2, 3): 2}
+
+
+def test_graphs_on_at_most_64_vertices_share_each_pair():
+    a, b = path(4), Graph.from_edges(5, [(2, 1), (4, 0)])
+    assert a.edges[1] == (1, 2) and a.edges[1] is b.edges[1]
+    q6 = hypercube(6)  # 64 vertices, the table's bound
+    assert q6.edges[0] == (0, 1) and q6.edges[0] is a.edges[0]
+    assert q6.edges[-1] is Graph.from_edges(64, [(62, 63)]).edges[0]
+
+
+def test_a_graph_past_the_shared_pairs_builds_and_solves():
+    q7 = hypercube(7)
+    assert q7.n == 128 and q7.m == 448
+    assert q7.edges[0] == (0, 1) and q7.edges[0] is not path(2).edges[0]
+    assert q7.edge_index[(63, 127)] == q7.edges.index((63, 127))
+    assert nu_i(q7, max_items=448).value == 32
+
+
+@pytest.mark.parametrize(
+    "roundtrip",
+    [copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_and_pickles_rebuild_the_graph(roundtrip):
+    for g in (Graph(0, []), figure1(1), hypercube(7)):
+        g.edge_index
+        c = roundtrip(g)
+        assert not hasattr(c, "_edge_index")  # the index slot is never shipped
+        assert c == g and c.adj == g.adj and c.edges == g.edges
+        assert c.edge_index == g.edge_index
 
 
 def test_edge_count_matches_popcount():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -761,3 +762,13 @@ def test_a_double_star_lex_k2_plus_k1_attains_the_lower_lex_eop_bound_strictly()
     r = rho_eo(p)
     assert (lower, upper, r.value, r.nodes) == (6, 7, 6, 10)
     assert len(r.witness) == 6 and verify_witness(p, r.witness, "eop")
+
+
+def test_invariant_result_is_slotted_and_frozen():
+    r = nu_i(path(5))
+    assert not hasattr(r, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.value = 3
+    s = dataclasses.replace(r, value=3)
+    assert (s.name, s.value, s.witness, s.nodes, s.proven_optimal) == ("nu_i", 3, r.witness, r.nodes, True)
+    assert r.value == 2
