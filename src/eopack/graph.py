@@ -45,10 +45,8 @@ class Graph:
     one tuple that every such graph shares (:data:`_PAIRS`), so an edge costs
     the graph an 8-byte slot of ``edges`` rather than a 56-byte tuple.
     ``edge_index`` is built on first access and kept, since only witness
-    builders, tree certificates and the root group's edge lift read it; the
-    10,816 products of the four kinds over graphs on at most 5 vertices take
-    14 MB under tracemalloc, 75 MB when each graph made its own tuples and
-    index.  Copies and pickles rebuild the graph from ``n`` and ``adj``.
+    builders, tree certificates and the root group's edge lift read it.
+    Copies and pickles rebuild the graph from ``n`` and ``adj``.
     """
 
     __slots__ = ("n", "adj", "edges", "_edge_index")
@@ -834,10 +832,6 @@ def _automorphisms(adj: Sequence[int], domain: Optional[int] = None) -> list:
                         for y in bits(merged):
                             orbit[y] = merged
     return gens
-
-
-def canonical_graph(g: Graph) -> Graph:
-    return _graph_from_bits(g.n, canonical_form(g))
 
 
 def enumerate_graphs(n: int, dedup: bool = False) -> Iterator[Graph]:

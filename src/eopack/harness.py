@@ -7,14 +7,16 @@ Reports are machine readable and deterministic for a fixed (id, seed, budget)
 apart from wall-clock timing.
 
 A check is declared once, where its runner is defined: the
-``@_check(id, citation, corpus, budget_s)`` decorator adds a :class:`Check`
-to ``REGISTRY``, so ``list_checks()`` follows declaration order, and a repeated
+``@_check(id, citation, corpus)`` decorator adds a :class:`Check` to
+``REGISTRY``, so ``list_checks()`` follows declaration order, and a repeated
 id is a ``ValueError``.  A runner is a
 generator that yields one ``(inputs, expected, actual)`` record per instance.
 :func:`run_check` drives it and is the one place that reads the clock, counts
-instances and builds failure entries.  It checks the deadline before every
-``next()``, so no runner starts an instance once its budget is spent, and the
-partial run is reported as ``skipped``: a check never passes on a partial run.
+instances and builds failure entries.  Every check has the same deadline,
+``budget`` seconds after it starts (:data:`DEFAULT_BUDGET` when none is
+given), checked before every ``next()``, so no runner starts an instance once
+its budget is spent, and the partial run is reported as ``skipped``: a check
+never passes on a partial run.
 
 The product checks build their products through one memo (:func:`_product`,
 :func:`_rooted`), which keeps each distinct product for as long as the
@@ -92,7 +94,6 @@ class Check:
     id: str
     citation: str
     corpus: str
-    budget_s: float
     runner: Callable
 
 
@@ -138,6 +139,8 @@ def _jsonable(x):
 
 # check id -> Check, in declaration order
 REGISTRY: dict = {}
+# seconds each check may run when run_check or run_suite is given no budget
+DEFAULT_BUDGET = 600
 # checks that solve the same product graphs; run_suite hands the selected members of each
 # chain to one pool task, run in registry order, so later members take that task's products
 # from the product memo and their values from the worker's value cache, instead of building
@@ -148,13 +151,13 @@ _CHAINS = (
 )
 
 
-def _check(id: str, citation: str, corpus: str, budget_s: float):
+def _check(id: str, citation: str, corpus: str):
     """Register the decorated runner as check ``id``, in declaration order."""
 
     def register(runner: Callable) -> Callable:
         if id in REGISTRY:
             raise ValueError(f"check id {id!r} is declared twice")
-        REGISTRY[id] = Check(id, citation, corpus, budget_s, runner)
+        REGISTRY[id] = Check(id, citation, corpus, runner)
         return runner
 
     return register
@@ -287,7 +290,6 @@ def _rooted(g: Graph, h: Graph, root: int) -> Graph:
     "nu_I(P_n) = floor((n+1)/3); rho_e^o(P_n) = (n+1)/2 if n = 3 (mod 4), "
     "else ceil((n-1)/2)",
     "paths P_1..P_20",
-    30,
 )
 def _paths_formulas(run: CheckRun) -> Iterator:
     for n in range(1, run.limit(20) + 1):
@@ -300,7 +302,6 @@ def _paths_formulas(run: CheckRun) -> Iterator:
     "spider-equality",
     "a spider with k >= 2 legs has nu_I = rho_e^o = k",
     "spiders k = 2..5",
-    30,
 )
 def _spider_equality(run: CheckRun) -> Iterator:
     for k in range(2, 6):
@@ -313,7 +314,6 @@ def _spider_equality(run: CheckRun) -> Iterator:
     "a spider assembly with leg counts k_1..k_m has nu_I = sum k_i and a "
     "unique maximum induced matching, the set of pendant spider edges",
     "50 seeded assemblies with at most 22 edges",
-    120,
 )
 def _family_f_value_uniqueness(run: CheckRun) -> Iterator:
     rng = SplitMix64(run.seed * 2 + 1)
@@ -332,7 +332,6 @@ def _family_f_value_uniqueness(run: CheckRun) -> Iterator:
     "trees-iff-family-f",
     "a tree satisfies nu_I = rho_e^o iff it is P_1, P_2, or a spider assembly",
     "all unlabeled trees on at most 9 vertices",
-    120,
 )
 def _trees_iff_family_f(run: CheckRun) -> Iterator:
     for t in _trees_upto(run.limit(9)):
@@ -348,7 +347,6 @@ def _trees_iff_family_f(run: CheckRun) -> Iterator:
     "a subdivided star has nu_I = rho_e^o iff it is P_2, P_5, or a spider "
     "with at least 3 legs",
     "all subdivided stars on at most 14 vertices",
-    60,
 )
 def _subdivided_star_lemma(run: CheckRun) -> Iterator:
     for lens in _partitions_upto(run.limit(13)):
@@ -367,7 +365,6 @@ def _subdivided_star_lemma(run: CheckRun) -> Iterator:
     "nu_I(G lex H) = alpha(G) nu_I(H) whenever H has an edge; for "
     "edgeless H the product is a blow-up of G and keeps nu_I(G)",
     "ordered pairs of unlabeled graphs, at most 4 vertices per factor",
-    600,
 )
 def _lex_nu_equality(run: CheckRun) -> Iterator:
     # the product formula needs an edge in H: an edgeless H only blows up
@@ -382,7 +379,6 @@ def _lex_nu_equality(run: CheckRun) -> Iterator:
     "rho_e^o(G) alpha(H) <= rho_e^o(G lex H) <= rho_e^o(G) alpha(H) + "
     "rho_e^o(H) (alpha(G) - rho_e^o(G))",
     "ordered pairs of unlabeled graphs, at most 4 vertices per factor",
-    600,
 )
 def _lex_eop_bounds(run: CheckRun) -> Iterator:
     for g, h in _pairs(run):
@@ -397,7 +393,6 @@ def _lex_eop_bounds(run: CheckRun) -> Iterator:
     "a star with a pendant 2-path attains the upper lex bound; wounded "
     "spiders attain the lower lex bound",
     "ell in {2,3}, t in {0,1}, second factors P_3 and K_3",
-    120,
 )
 def _lex_eop_sharpness(run: CheckRun) -> Iterator:
     hs = [path(3), complete(3)]
@@ -424,7 +419,6 @@ def _lex_eop_sharpness(run: CheckRun) -> Iterator:
     "lex-nu-remark",
     "nu_I(P_2 lex P_{3n+1}) = n, strictly below nu_I(P_2) alpha(P_{3n+1})",
     "n = 1..3",
-    60,
 )
 def _lex_nu_remark(run: CheckRun) -> Iterator:
     for n in (1, 2, 3):
@@ -439,7 +433,6 @@ def _lex_nu_remark(run: CheckRun) -> Iterator:
     "nu_I(G x H) >= 2 nu_I(G) nu_I(H); P_{3m} x K_n attains 2m",
     "unordered pairs at most 4 vertices per factor; (m,n) in "
     "{(1,3),(1,4),(2,3)}",
-    600,
 )
 def _direct_nu_bound(run: CheckRun) -> Iterator:
     for g, h in _pairs(run, ordered=False):
@@ -456,7 +449,6 @@ def _direct_nu_bound(run: CheckRun) -> Iterator:
     "delta(G) rho^o(G)); K_m x K_n attains m-1 for m >= n >= 3",
     "unordered pairs at most 4 vertices per factor; complete pairs up to "
     "(5,3)",
-    600,
 )
 def _direct_eop_bound(run: CheckRun) -> Iterator:
     for g, h in _pairs(run, ordered=False):
@@ -474,7 +466,6 @@ def _direct_eop_bound(run: CheckRun) -> Iterator:
     "rho_e^o(P_3 x P_{12n-5}) = 24n - 10, below 2 rho_e^o(P_3) "
     "rho_e^o(P_{12n-5})",
     "n in {1,2}",
-    120,
 )
 def _direct_eop_counterexample(run: CheckRun) -> Iterator:
     for n in (1, 2):
@@ -489,7 +480,6 @@ def _direct_eop_counterexample(run: CheckRun) -> Iterator:
     "direct-nu-remark",
     "nu_I(K_m x K_n) = 2 for m >= n >= 4",
     "K_4 x K_4",
-    60,
 )
 def _direct_nu_remark(run: CheckRun) -> Iterator:
     p = _product("direct", complete(4), complete(4))
@@ -501,7 +491,6 @@ def _direct_nu_remark(run: CheckRun) -> Iterator:
     "rho_e^o of a graph and a spanning subgraph are incomparable: gadget "
     "chains give (4r+2, 3r+2); complete vs spanning cycle gives (1, r+1)",
     "gadget chains r in {1,2}; K_5 vs C_5",
-    60,
 )
 def _spanning_incomparability(run: CheckRun) -> Iterator:
     for r in (1, 2):
@@ -516,7 +505,6 @@ def _spanning_incomparability(run: CheckRun) -> Iterator:
     "lex-min-box",
     "rho_e^o(G lex H) <= min(rho_e^o(G strong H), rho_e^o(G box H))",
     "ordered pairs at most 4 vertices per factor",
-    600,
 )
 def _lex_min_box(run: CheckRun) -> Iterator:
     for g, h in _pairs(run):
@@ -532,7 +520,6 @@ def _lex_min_box(run: CheckRun) -> Iterator:
     "max(rho_e^o(G) alpha(H), alpha(G) rho_e^o(H)); K_{1,2} box K_{1,3} "
     "attains 6; G strong K_3 attains alpha(G)",
     "ordered pairs at most 4 vertices per factor",
-    600,
 )
 def _box_eop_bounds(run: CheckRun) -> Iterator:
     for g, h in _pairs(run):
@@ -554,7 +541,6 @@ def _box_eop_bounds(run: CheckRun) -> Iterator:
     "nu_I(G lex H) <= min over box/strong; nu_I of box and strong >= "
     "max(nu_I(G) alpha(H), alpha(G) nu_I(H))",
     "ordered pairs at most 4 vertices per factor",
-    600,
 )
 def _nu_box_analogues(run: CheckRun) -> Iterator:
     for g, h in _pairs(run):
@@ -574,7 +560,6 @@ def _nu_box_analogues(run: CheckRun) -> Iterator:
     "lex-strong-kn",
     "rho_e^o(G lex K_n) = alpha(G) for n >= 3",
     "unlabeled G at most 4 vertices with K_3; at most 3 with K_4",
-    300,
 )
 def _lex_strong_kn(run: CheckRun) -> Iterator:
     for g in _graphs_upto(run.limit(4)):
@@ -589,7 +574,6 @@ def _lex_strong_kn(run: CheckRun) -> Iterator:
     "hypercube-nu",
     "nu_I(Q_n) = 2^(n-2)",
     "n = 2..5",
-    120,
 )
 def _hypercube_nu(run: CheckRun) -> Iterator:
     for n in range(2, run.limit(5) + 1):
@@ -602,7 +586,6 @@ def _hypercube_nu(run: CheckRun) -> Iterator:
     "|V|/(r+1)",
     "regular unlabeled graphs at most 5 vertices plus C_6, C_9, "
     "hypercube Q_3, K_4",
-    120,
 )
 def _perfect_code_regular(run: CheckRun) -> Iterator:
     pool = list(_graphs_upto(run.limit(5)))
@@ -634,7 +617,6 @@ def _perfect_code_regular(run: CheckRun) -> Iterator:
     "= 2^(n-k)",
     "hypercube codes on Q_3 and Q_7; gamma and rho_2 solved exactly at "
     "k=2",
-    60,
 )
 def _hamming_codes(run: CheckRun) -> Iterator:
     code2 = hamming_perfect_code(2)
@@ -664,7 +646,6 @@ def _hamming_codes(run: CheckRun) -> Iterator:
     "bipartite G satisfies rho_e^o(G) >= delta(G) rho_3(G), witnessed by "
     "all edges at a maximum 3-packing",
     "bipartite unlabeled graphs on at most 5 vertices",
-    120,
 )
 def _bipartite_eop_lemma(run: CheckRun) -> Iterator:
     for g in _graphs_upto(run.limit(5)):
@@ -682,7 +663,6 @@ def _bipartite_eop_lemma(run: CheckRun) -> Iterator:
     "rho_3(G box K_2) <= rho_2(G), with equality and an explicit lifted "
     "witness when G is bipartite",
     "unlabeled graphs on at most 5 vertices",
-    300,
 )
 def _prism_3packing(run: CheckRun) -> Iterator:
     for g in _graphs_upto(run.limit(5)):
@@ -712,7 +692,6 @@ _TABLE_EOP_LOWER = {5: 10, 6: 24, 7: 56, 8: 128}
     "rho_e^o(Q_n) = 1,2,3,8 for n <= 4 and witnessed >= 10,24,56,128 for "
     "n = 5..8",
     "hypercubes Q_1..Q_8",
-    300,
 )
 def _table1_hypercubes(run: CheckRun) -> Iterator:
     for row in hypercube_table(run.limit(8)):
@@ -733,7 +712,6 @@ def _table1_hypercubes(run: CheckRun) -> Iterator:
     "rho_e^o(Q_n) = 2^(n-1) when n is a power of two",
     "hypercubes Q_2, Q_4 exact; Q_8 by witness plus independence "
     "certificate",
-    300,
 )
 def _roeo_q2k(run: CheckRun) -> Iterator:
     for k in (1, 2):
@@ -762,7 +740,6 @@ def _roeo_q2k(run: CheckRun) -> Iterator:
     "q9-bound",
     "rho_e^o(Q_9) >= 9 * 17 = 153 via rho_2(Q_8) >= 17",
     "none",
-    0,
 )
 def _q9_bound(run: CheckRun) -> Iterator:
     """Yield nothing, so the check reports ``skipped``.
@@ -779,7 +756,6 @@ def _q9_bound(run: CheckRun) -> Iterator:
     "n nu_I(H) + nu_I(G)}; three root gadgets realize each value",
     "ordered pairs at most 4 vertices per factor, every root; gadgets at "
     "r in {2,3}",
-    600,
 )
 def _rooted_three_values(run: CheckRun) -> Iterator:
     for g, h in _pairs(run):
@@ -813,7 +789,6 @@ def _rooted_three_values(run: CheckRun) -> Iterator:
     "corona-formula",
     "nu_I(G corona H) = |V(G)| nu_I(H) if H has an edge, else alpha(G)",
     "ordered pairs at most 4 vertices per factor",
-    600,
 )
 def _corona_formula(run: CheckRun) -> Iterator:
     for g, h in _pairs(run):
@@ -830,7 +805,6 @@ def _corona_formula(run: CheckRun) -> Iterator:
     "at the far end attain the upper bound",
     "ordered pairs at most 4 vertices per factor, every root; named "
     "families",
-    600,
 )
 def _rooted_eop_equ2(run: CheckRun) -> Iterator:
     for g, h in _pairs(run):
@@ -885,7 +859,7 @@ def run_check(
     _refuse_nan(budget)
     check = REGISTRY[check_id]
     t0 = time.monotonic()
-    deadline = t0 + (check.budget_s if budget is None else budget)
+    deadline = t0 + (DEFAULT_BUDGET if budget is None else budget)
     instances_run, failures, capacity_skips = 0, [], 0
     timed_out, error = False, None
     try:

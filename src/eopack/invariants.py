@@ -86,7 +86,10 @@ class InvariantResult:
     """Exact invariant value with a verifying witness.
 
     ``witness`` indexes edges of the base graph for edge invariants and
-    vertices otherwise; ``nodes`` counts branch-and-bound nodes expanded.
+    vertices otherwise.  ``nodes`` counts the branch-and-bound nodes expanded;
+    for ``beta`` it is the count of the ``alpha`` solve it is derived from, and
+    for ``nu_i_tree``, which runs no search, the tree's vertex count (0 on a
+    single vertex).
     """
 
     name: str
@@ -479,9 +482,6 @@ def gamma(g: Graph, max_items: Optional[int] = None) -> InvariantResult:
         n = g.n
         closed = [g.adj[v] | (1 << v) for v in range(n)]
         full = (1 << n) - 1
-        if n == 0:
-            return InvariantResult("gamma", 0, (), 0)
-
         unc = full
         greedy = []
         while unc:

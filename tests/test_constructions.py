@@ -67,6 +67,11 @@ def test_lex_eop_unknown_variant():
         lex_eop_witness(path(2), path(2), "sideways")
 
 
+def test_box_eop_witness_refuses_other_product_kinds():
+    with pytest.raises(GraphError, match="^unsupported product kind 'lex'$"):
+        box_eop_witness(path(2), path(2), "lex")
+
+
 def test_direct_im_examples():
     p, w = direct_im_witness(path(4), path(4))
     assert len(w) == 2

@@ -9,7 +9,6 @@ from eopack.graph import (
     _smaller_strings,
     _tree_code,
     canonical_form,
-    canonical_graph,
     complete,
     enumerate_graphs,
     enumerate_trees,
@@ -114,7 +113,6 @@ def test_canonical_form_is_invariant_under_relabeling():
     perm = [3, 5, 0, 6, 1, 4, 2]
     relabeled = Graph.from_edges(7, [(perm[u], perm[v]) for u, v in g.edges])
     assert canonical_form(relabeled) == canonical_form(g)
-    assert canonical_graph(relabeled) == canonical_graph(g)
 
 
 def test_canonical_form_is_the_least_relabeling_of_every_graph_on_five_vertices():
@@ -142,16 +140,12 @@ def test_canonical_form_is_invariant_under_random_relabelings():
     for seed in range(48):
         n = 7 + seed % 4
         g = random_graph(n, ("1/4", "1/2", "3/4")[seed % 3], seed=900 + seed)
-        form, canon = canonical_form(g), canonical_graph(g)
-        assert sorted(canon.degree(v) for v in range(n)) == sorted(
-            g.degree(v) for v in range(n)
-        )
+        form = canonical_form(g)
         for _ in range(4):
             perm = list(range(n))
             rng.shuffle(perm)
             relabeled = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges])
             assert canonical_form(relabeled) == form, (g.edges, perm)
-            assert canonical_graph(relabeled) == canon
 
 
 def test_labeled_tree_counts():

@@ -67,7 +67,7 @@ def test_registry_covers_every_statement():
 
 def test_repeated_check_id_is_refused():
     before = list(REGISTRY.items())
-    declare = harness._check("spider-equality", "again", "nothing", 1)
+    declare = harness._check("spider-equality", "again", "nothing")
     with pytest.raises(ValueError, match="'spider-equality' is declared twice"):
         declare(lambda run: iter(()))
     assert list(REGISTRY.items()) == before
@@ -86,7 +86,6 @@ def test_every_check_has_citation_and_corpus():
     for c in list_checks():
         assert c.citation.strip()
         assert c.corpus.strip()
-        assert c.budget_s >= 0
 
 
 def test_unknown_check_id():
@@ -140,6 +139,12 @@ def test_seeded_check_passes_for_multiple_seeds():
     for seed in (0, 7):
         r = run_check("family-f-value-uniqueness", seed=seed)
         assert r.status == "pass" and r.instances_run == 50
+
+
+def test_a_check_without_a_budget_gets_the_default_deadline(monkeypatch):
+    monkeypatch.setattr(harness, "DEFAULT_BUDGET", 0)
+    assert run_check("paths-formulas").status == "skipped"
+    assert run_check("paths-formulas", budget=60).status == "pass"
 
 
 def test_budget_exhaustion_skips_with_partial_counts():

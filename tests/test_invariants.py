@@ -77,6 +77,11 @@ def test_conflict_star_eop_empty():
         assert all(c == 0 for c in cg.conflicts)
 
 
+def test_conflict_builder_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="^unknown conflict kind 'bogus'$"):
+        build_conflict_graph(path(3), "bogus")
+
+
 def pairwise_conflicts(g, kind):
     # the literal per-pair definitions, independent of the bitset builder
     test = _im_conflict if kind == "induced_matching" else _eop_conflict
@@ -298,6 +303,13 @@ NAMED = {
     "rho_3": lambda g, **kw: distance_packing(g, 3, **kw),
     "gamma": gamma,
 }
+
+
+@pytest.mark.parametrize("name", list(NAMED) + ["beta"])
+def test_every_named_invariant_of_the_empty_graph_is_zero_after_one_node(name):
+    invariants.clear_cache()
+    r = NAMED.get(name, beta)(Graph(0, []))
+    assert (r.value, r.witness, r.nodes) == (0, (), 1)
 
 
 @pytest.mark.parametrize("solve", list(NAMED.values()), ids=list(NAMED))

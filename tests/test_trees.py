@@ -36,6 +36,12 @@ def test_nu_i_tree_examples():
     assert nu_i_tree(star(5)).value == 1
 
 
+@pytest.mark.parametrize("ks", [[1, 3], []])
+def test_generate_family_f_needs_spiders_of_at_least_two_legs(ks):
+    with pytest.raises(GraphError, match="^every spider needs at least 2 legs$"):
+        generate_family_f(ks)
+
+
 def test_nu_i_tree_rejects_non_trees():
     with pytest.raises(GraphError):
         nu_i_tree(cycle(4))
