@@ -28,7 +28,6 @@ from typing import Callable, Optional, Sequence, Union
 from .graph import (
     Graph,
     _automorphisms,
-    _bfs_dist,
     automorphism_generators,
     bits,
     orbit_masks,
@@ -88,8 +87,7 @@ class InvariantResult:
     ``witness`` indexes edges of the base graph for edge invariants and
     vertices otherwise.  ``nodes`` counts the branch-and-bound nodes expanded;
     for ``beta`` it is the count of the ``alpha`` solve it is derived from, and
-    for ``nu_i_tree``, which runs no search, the tree's vertex count (0 on a
-    single vertex).
+    for ``nu_i_tree``, which runs no search, the tree's vertex count.
     """
 
     name: str
@@ -117,29 +115,6 @@ class ConflictGraph:
         return len(self.conflicts)
 
 
-def _eop_conflict(g: Graph, e1, e2) -> bool:
-    # a third edge xy joining an endvertex x of e1 to an endvertex y of e2:
-    # xy is e1 exactly when y is in e1, and e2 exactly when x is in e2
-    adj = g.adj
-    for x in e1:
-        for y in e2:
-            if x != y and adj[x] >> y & 1 and y not in e1 and x not in e2:
-                return True
-    return False
-
-
-def _im_conflict(g: Graph, e1, e2) -> bool:
-    # shared endvertex, or any edge between the endvertex sets
-    if e1[0] in e2 or e1[1] in e2:
-        return True
-    for x in e1:
-        row = g.adj[x]
-        for y in e2:
-            if (row >> y) & 1:
-                return True
-    return False
-
-
 def _reach(adj: Sequence[int], rows: Sequence[int]) -> list:
     """One neighbourhood step: row v is the OR of ``rows[u]`` over neighbours u of v."""
     out = []
@@ -157,9 +132,7 @@ def build_conflict_graph(g: Graph, kind: str) -> ConflictGraph:
     """Conflict graph of ``kind`` over the edges of g.
 
     Rows are ORs of per-vertex edge-incidence bitsets, gathered by
-    :func:`_reach` like every conflict row; the pairwise predicates
-    ``_im_conflict`` / ``_eop_conflict`` stay the literal definitions that
-    :func:`verify_witness` and the tests use.  With ``reach[v]`` the edges
+    :func:`_reach` like every conflict row.  With ``reach[v]`` the edges
     touching N[v], edge ab conflicts:
 
     - for ``induced_matching``, with every other edge in reach[a] | reach[b];
@@ -549,56 +522,65 @@ def has_perfect_code(g: Graph) -> Optional[tuple]:
 # ---------------------------------------------------------------------------
 
 def verify_witness(g: Graph, w, kind: str, k: Optional[int] = None) -> bool:
-    """Check a witness against the literal definition; never consults the solver."""
-    w = tuple(w)
-    if kind in EDGE_KINDS:
-        for i in w:
-            if not 0 <= i < g.m:
-                raise ValueError(f"edge index {i} out of range")
-        if len(set(w)) != len(w):
-            return False
-        pairs = [g.edges[i] for i in w]
-        test = _im_conflict if kind == "induced_matching" else _eop_conflict
-        for a in range(len(pairs)):
-            for b in range(a + 1, len(pairs)):
-                if test(g, pairs[a], pairs[b]):
-                    return False
-        return True
+    """Check a witness against the paper's definition in one pass; never consults the solver.
 
-    for v in w:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
+    An edge witness S must induce exactly S: each end of S sees among the
+    ends just its partners along S.  For ``induced_matching`` each end has
+    one partner; for ``eop`` each edge has an end with no other, so every
+    component is a star.  A vertex witness grows a ball around each vertex
+    (radius k for ``k_packing``, the open neighbourhood for ``open_packing``,
+    the closed one otherwise) and looks where the balls meet.
+    """
+    w = tuple(w)
+    adj = g.adj
+    edge_kind = kind in EDGE_KINDS
+    count = g.m if edge_kind else g.n
+    for i in w:
+        if not 0 <= i < count:
+            raise ValueError(f"{'edge index' if edge_kind else 'vertex'} {i} out of range")
     if len(set(w)) != len(w):
         return False
-    if kind == "open_packing":
-        return all(
-            not (g.adj[w[a]] & g.adj[w[b]])
-            for a in range(len(w))
-            for b in range(a + 1, len(w))
-        )
+    if edge_kind:
+        pairs = [g.edges[i] for i in w]
+        partners: dict = {}
+        for u, v in pairs:
+            partners[u] = partners.get(u, 0) | 1 << v
+            partners[v] = partners.get(v, 0) | 1 << u
+        ends = sum(1 << v for v in partners)
+        if any(adj[v] & ends != p for v, p in partners.items()):
+            return False
+        if kind == "induced_matching":
+            return len(partners) == 2 * len(pairs)
+        return all(partners[u].bit_count() == 1 or partners[v].bit_count() == 1 for u, v in pairs)
     if kind == "k_packing":
         if k is None:
             raise ValueError("k_packing needs k")
-        others = set(w)
+        members = sum(1 << v for v in w)
         for v in w:
-            dist = _bfs_dist(g, v)
-            if any(u != v and dist[u] <= k for u in others):
-                return False
+            # grow the ball around v one distance r at a time, up to k; the
+            # frontier is its newest layer
+            ball = frontier = 1 << v
+            r = 1
+            while frontier and r <= k:
+                step = 0
+                for u in bits(frontier):
+                    step |= adj[u]
+                frontier = step & ~ball
+                if frontier & members:
+                    return False
+                ball |= frontier
+                r += 1
         return True
-    if kind == "dominating":
-        covered = 0
-        for v in w:
-            covered |= g.adj[v] | (1 << v)
-        return covered == (1 << g.n) - 1
-    if kind == "perfect_code":
-        covered = 0
-        for v in w:
-            ball = g.adj[v] | (1 << v)
-            if ball & covered:
-                return False
-            covered |= ball
-        return covered == (1 << g.n) - 1
-    raise ValueError(f"unknown witness kind {kind!r}")
+    if kind not in ("open_packing", "dominating", "perfect_code"):
+        raise ValueError(f"unknown witness kind {kind!r}")
+    covered = overlap = 0
+    for v in w:
+        ball = adj[v] if kind == "open_packing" else adj[v] | 1 << v
+        overlap |= covered & ball
+        covered |= ball
+    if kind == "open_packing":
+        return not overlap
+    return covered == (1 << g.n) - 1 and (kind == "dominating" or not overlap)
 
 
 def enumerate_optimal(c: ConflictGraph, max_items: Optional[int] = None) -> list:

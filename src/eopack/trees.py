@@ -133,9 +133,6 @@ def nu_i_tree(t: Graph) -> InvariantResult:
     if not is_tree(t):
         raise GraphError("input is not a tree")
     n = t.n
-    if n == 1:
-        return InvariantResult("nu_i_tree", 0, (), 0)
-
     order, parent = _bfs(t.adj, 0)
     children = [[] for _ in range(n)]
     for v, p in zip(order[1:], parent[1:]):

@@ -23,14 +23,12 @@ from eopack.graph import (
     write_graph6,
 )
 from eopack import invariants
-from eopack.constructions import hamming_perfect_code
+from eopack.constructions import hamming_perfect_code, hypercube_eop_witness
 from eopack.products import PRODUCT_KINDS, product
 from eopack.invariants import (
     CapacityError,
     InvariantResult,
-    _eop_conflict,
     _greedy_set,
-    _im_conflict,
     _search,
     alpha,
     beta,
@@ -84,7 +82,7 @@ def test_conflict_builder_refuses_an_unknown_kind():
 
 def pairwise_conflicts(g, kind):
     # the literal per-pair definitions, independent of the bitset builder
-    test = _im_conflict if kind == "induced_matching" else _eop_conflict
+    test = set_form_im_conflict if kind == "induced_matching" else set_form_eop_conflict
     conf = [0] * g.m
     for i, j in itertools.combinations(range(g.m), 2):
         if test(g, g.edges[i], g.edges[j]):
@@ -108,6 +106,11 @@ def test_conflict_builder_matches_pairwise_definition():
             assert cg.conflicts == pairwise_conflicts(g, kind), (g.edges, kind)
 
 
+def set_form_im_conflict(g, e1, e2):
+    # the induced matching conflict written with sets: a shared end, or an edge between the ends
+    return bool(set(e1) & set(e2)) or any(g.has_edge(x, y) for x in e1 for y in e2)
+
+
 def set_form_eop_conflict(g, e1, e2):
     # the edge open packing conflict written with sets: a third edge {x, y},
     # x an end of e1 and y an end of e2, that is neither e1 nor e2
@@ -117,18 +120,6 @@ def set_form_eop_conflict(g, e1, e2):
         for x in e1
         for y in e2
     )
-
-
-def test_eop_conflict_matches_the_set_form_on_small_labelled_graphs():
-    pairs = 0
-    for n in range(1, 6):
-        for g in enumerate_graphs(n):
-            for e1, e2 in itertools.product(g.edges, repeat=2):
-                assert _eop_conflict(g, e1, e2) == set_form_eop_conflict(g, e1, e2), (g.edges, e1, e2)
-                pairs += 1
-    # every ordered edge pair of every labelled graph on at most 5 vertices:
-    # the sum of m^2 over the graphs on N vertex pairs is N(N+1)2^(N-2)
-    assert pairs == 1 + 24 + 672 + 28_160
 
 
 def vertex_conflicts(g, name):
@@ -587,6 +578,87 @@ def test_verify_witness_rejects_overlapping_perfect_code_balls():
     assert verify_witness(hypercube(3), code, "perfect_code")
     # the ball of 1 meets the ball of codeword 0
     assert not verify_witness(hypercube(3), code + (1,), "perfect_code")
+
+
+def test_verify_witness_matches_the_literal_forms_on_small_graphs():
+    # every unlabeled graph on at most 6 vertices.  Edge kinds: every edge
+    # subset (at most 4 edges at n = 6) against the set-form pairwise
+    # conflicts.  Vertex kinds: every vertex subset against distances and
+    # neighbourhoods written as sets
+    cases = 0
+    for n in range(1, 7):
+        for g in enumerate_graphs(n, dedup=True):
+            for kind in ("induced_matching", "eop"):
+                conf = pairwise_conflicts(g, kind)
+                for r in range(min(g.m, 4 if n == 6 else g.m) + 1):
+                    for s in itertools.combinations(range(g.m), r):
+                        mask = sum(1 << i for i in s)
+                        ok = not any(conf[i] & mask for i in s)
+                        assert verify_witness(g, s, kind) == ok, (g.edges, s, kind)
+                        cases += 1
+            d = distances(g)
+            opened = [set(g.neighbors(v)) for v in range(n)]
+            closed = [opened[v] | {v} for v in range(n)]
+            for r in range(n + 1):
+                for s in itertools.combinations(range(n), r):
+                    pairs = list(itertools.combinations(s, 2))
+                    for k in (1, 2, 3):
+                        ok = all(d[a][b] > k for a, b in pairs)
+                        assert verify_witness(g, s, "k_packing", k) == ok, (g.edges, s, k)
+                    covers = set().union(*(closed[v] for v in s)) == set(range(n))
+                    apart = all(not closed[a] & closed[b] for a, b in pairs)
+                    assert verify_witness(g, s, "dominating") == covers, (g.edges, s)
+                    assert verify_witness(g, s, "perfect_code") == (covers and apart), (g.edges, s)
+                    ok = all(not opened[a] & opened[b] for a, b in pairs)
+                    assert verify_witness(g, s, "open_packing") == ok, (g.edges, s)
+                    cases += 6
+    # 74,788 edge cases and 67,740 vertex cases
+    assert cases == 142_528
+
+
+@pytest.mark.parametrize(
+    "make, kind",
+    [
+        (lambda: hypercube_eop_witness(3), "eop"),
+        (lambda: (hypercube(7), nu_i(hypercube(7), max_items=448).witness), "induced_matching"),
+    ],
+    ids=["eop-Q8", "induced-matching-Q7"],
+)
+def test_verify_witness_rejects_every_edge_added_to_a_maximum_witness(make, kind):
+    # no oracle: the witness is maximum, so no one-edge addition is a witness
+    g, w = make()
+    assert len(w) == {"eop": 128, "induced_matching": 32}[kind]
+    assert verify_witness(g, w, kind)
+    assert not any(verify_witness(g, w + (e,), kind) for e in range(g.m) if e not in w)
+
+
+def test_verify_witness_calls_nothing_on_the_solver_path(monkeypatch):
+    # one accepted and one rejected witness of each kind
+    cases = [
+        (path(5), (0, 3), "induced_matching", None),
+        (path(5), (0, 2), "induced_matching", None),
+        (path(4), (0, 1), "eop", None),
+        (path(4), (0, 2), "eop", None),
+        (path(4), (0, 3), "open_packing", None),
+        (path(4), (0, 2), "open_packing", None),
+        (path(4), (0, 3), "k_packing", 2),
+        (path(4), (0, 3), "k_packing", 3),
+        (path(4), (1, 2), "dominating", None),
+        (path(4), (0, 1), "dominating", None),
+        (hypercube(3), (0, 7), "perfect_code", None),
+        (hypercube(3), (0, 1, 7), "perfect_code", None),
+    ]
+    verdicts = [verify_witness(*case) for case in cases]
+    assert verdicts == [True, False] * 6
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solver path was called")
+
+    for name in ("_reach", "build_conflict_graph", "_search"):
+        monkeypatch.setattr(invariants, name, refuse)
+    with pytest.raises(AssertionError, match="solver path"):
+        nu_i(path(5), max_items=10)
+    assert [verify_witness(*case) for case in cases] == verdicts
 
 
 # ---------------------------------------------------------------------------

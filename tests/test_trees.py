@@ -36,6 +36,12 @@ def test_nu_i_tree_examples():
     assert nu_i_tree(star(5)).value == 1
 
 
+def test_nu_i_tree_on_one_vertex_follows_the_rule_of_every_tree():
+    # no edge to match, and nodes is the vertex count
+    res = nu_i_tree(path(1))
+    assert (res.value, res.witness, res.nodes) == (0, (), 1)
+
+
 @pytest.mark.parametrize("ks", [[1, 3], []])
 def test_generate_family_f_needs_spiders_of_at_least_two_legs(ks):
     with pytest.raises(GraphError, match="^every spider needs at least 2 legs$"):
